@@ -42,8 +42,6 @@ from repro.cache import (
     CacheConfig,
     CacheStats,
     simulate,
-    simulate_belady,
-    simulate_lru,
 )
 from repro.community import (
     CommunityAssignment,
@@ -107,8 +105,6 @@ __all__ = [
     "reorder_matrix",
     "scaled_platform",
     "simulate",
-    "simulate_belady",
-    "simulate_lru",
     "spgemm_csr_trace",
     "spmm_csr",
     "spmm_csr_trace",

@@ -11,20 +11,17 @@ This module is the public simulator surface:
 
 * :func:`simulate` — the single entry point; dispatches between the
   reference per-access implementations and the numpy-vectorized
-  engines in :mod:`repro.cache.fast` (``impl="fast"|"reference"|
-  "auto"``, env override ``REPRO_SIM_IMPL``).
+  engines in :mod:`repro.cache.fast`, chosen from the trace length
+  and cache geometry (``impl="fast"|"reference"`` pins one engine for
+  differential tests and benchmarks).
 * :class:`CacheConfig` / :class:`CacheStats` — geometry in, counters
   out.
-
-``simulate_lru`` / ``simulate_belady`` remain importable as deprecated
-aliases for the reference implementations; new code should call
-``simulate(trace, config, policy=...)`` instead.
 """
 
 from repro.cache.config import CacheConfig
 from repro.cache.dispatch import IMPLS, POLICIES, resolve_impl, simulate
-from repro.cache.lru import classify_misses, compulsory_misses, simulate_lru
-from repro.cache.belady import next_use_index, simulate_belady
+from repro.cache.lru import classify_misses, compulsory_misses
+from repro.cache.belady import next_use_index
 from repro.cache.hierarchy import HierarchyStats, simulate_hierarchy
 from repro.cache.stats import CacheStats
 
@@ -39,7 +36,5 @@ __all__ = [
     "next_use_index",
     "resolve_impl",
     "simulate",
-    "simulate_belady",
     "simulate_hierarchy",
-    "simulate_lru",
 ]

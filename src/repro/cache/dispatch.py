@@ -8,13 +8,12 @@ per-access simulators (:mod:`repro.cache.lru`,
 
 Implementation selection (``impl`` argument):
 
-* ``"fast"`` / ``"reference"`` — force one engine.
-* ``"auto"`` (default) — pick the fast engine when the geometry is
-  wide enough for round-parallel replay to win (the reference loop is
-  faster on tiny caches where a few sets serialize the rounds).
-* ``None`` — read ``$REPRO_SIM_IMPL`` (same three values), falling
-  back to ``"auto"``; this is how an entire experiment run is steered
-  without code changes.
+* ``"auto"`` (default) — pick the engine from the input: the fast
+  one when the geometry is wide enough for round-parallel replay to
+  win (the reference loop is faster on tiny caches where a few sets
+  serialize the rounds).
+* ``"fast"`` / ``"reference"`` — force one engine; the differential
+  suite and the benchmarks use this to reach the reference oracle.
 
 Every call emits one ``cache-sim`` observability span tagged with the
 policy and the resolved implementation, plus ``cache.<policy>.*``
@@ -24,7 +23,6 @@ profiles stay comparable across implementations.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Union
 
 import numpy as np
@@ -38,9 +36,6 @@ from repro.errors import ValidationError
 from repro.obs import get_obs
 from repro.trace.kernel_traces import KernelTrace
 
-#: Environment variable overriding the default implementation choice.
-IMPL_ENV_VAR = "REPRO_SIM_IMPL"
-
 IMPLS = ("auto", "fast", "reference")
 POLICIES = ("lru", "belady")
 
@@ -52,9 +47,9 @@ _FAST_MIN_ACCESSES = 8192
 
 
 def resolve_impl(impl: Optional[str] = None) -> str:
-    """Validate ``impl``, consulting ``$REPRO_SIM_IMPL`` when ``None``."""
+    """Validate ``impl``; ``None`` means ``"auto"``."""
     if impl is None:
-        impl = os.environ.get(IMPL_ENV_VAR, "").strip().lower() or "auto"
+        impl = "auto"
     if impl not in IMPLS:
         raise ValidationError(f"impl must be one of {IMPLS}, got {impl!r}")
     return impl

@@ -10,8 +10,7 @@ the equivalence.
 
 Callers should not import this package directly — go through
 :func:`repro.cache.simulate`, which dispatches between the fast and
-reference engines (``impl="fast"|"reference"|"auto"``, env override
-``REPRO_SIM_IMPL``).
+reference engines by trace length and cache geometry.
 """
 
 from repro.cache.fast.belady import simulate_belady_fast

@@ -8,7 +8,7 @@ dead-line counters of paper Table III.  Hits are detected through a
 presence table mapping line id to its way — each line belongs to
 exactly one set, so one gather replaces a ``ways``-wide tag compare.
 
-Produces counters bit-identical to :func:`repro.cache.lru.simulate_lru`
+Produces counters bit-identical to :func:`repro.cache.lru._simulate_lru`
 (see ``tests/test_cache_fast_differential.py``).
 """
 
@@ -29,7 +29,7 @@ def simulate_lru_fast(
     config: CacheConfig,
     regions: Optional[RegionBounds] = None,
 ) -> CacheStats:
-    """Vectorized equivalent of :func:`repro.cache.lru.simulate_lru`."""
+    """Vectorized equivalent of :func:`repro.cache.lru._simulate_lru`."""
     trace = np.ascontiguousarray(np.asarray(trace, dtype=np.int64))
     if trace.size == 0:
         miss_positions = np.empty(0, dtype=np.int64)

@@ -9,7 +9,6 @@ Examples::
     repro export soc-forum /tmp/soc-forum.mtx
     repro profile soc-forum --technique rabbit
     repro bench-reorder --smoke --json BENCH_reorder.json
-    repro evaluate soc-forum --technique rabbit --reorder-impl reference
     repro cache-stats
     repro doctor
     repro run-all --jobs 4 --retries 2 --cell-timeout 120 --keep-going
@@ -74,7 +73,6 @@ from repro.obs.ledger import (
     resolve_runs_dir,
 )
 from repro.reorder.benchreorder import BENCH_TECHNIQUES, SCALE_GRAPH
-from repro.reorder.dispatch import IMPLS
 from repro.reorder.registry import available_techniques
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
@@ -236,7 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument("--kernel", default="spmv-csr")
     evaluate.add_argument("--policy", default="lru", choices=["lru", "belady"])
     evaluate.add_argument("--profile", default="full", choices=PROFILES)
-    _add_reorder_impl_flag(evaluate)
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     experiment = subparsers.add_parser("experiment", help="regenerate a paper artifact")
@@ -250,7 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also render an ASCII bar chart over the first numeric column",
     )
     _add_sweep_flags(experiment)
-    _add_reorder_impl_flag(experiment)
     experiment.set_defaults(handler=_cmd_experiment)
 
     run_all = subparsers.add_parser(
@@ -263,7 +259,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="also render an ASCII bar chart over the first numeric column",
     )
     _add_sweep_flags(run_all)
-    _add_reorder_impl_flag(run_all)
     run_all.set_defaults(handler=_cmd_run_all)
 
     doctor = subparsers.add_parser(
@@ -298,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--kernel", default="spmv-csr")
     profile.add_argument("--policy", default="lru", choices=["lru", "belady"])
     profile.add_argument("--profile", default="full", choices=PROFILES)
-    _add_reorder_impl_flag(profile)
     profile.set_defaults(handler=_cmd_profile)
 
     cache_stats = subparsers.add_parser(
@@ -567,7 +561,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="circuit breakers: open duration before half-open probes "
         "test recovery (default: 2.0)",
     )
-    _add_reorder_impl_flag(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     serve_bench = subparsers.add_parser(
@@ -701,17 +694,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_reorder_impl_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--reorder-impl",
-        default=None,
-        choices=IMPLS,
-        help="reordering engine: 'fast' (vectorized), 'reference', or "
-        "'auto' by graph size (default; also via $REPRO_REORDER_IMPL); "
-        "permutations are bit-identical across engines",
-    )
-
-
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     """Parallelism + resilience flags shared by experiment/run-all."""
     parser.add_argument(
@@ -780,7 +762,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    runner = ExperimentRunner(args.profile, reorder_impl=args.reorder_impl)
+    runner = ExperimentRunner(args.profile)
     record = runner.run(
         args.matrix, args.technique, kernel=args.kernel, policy=args.policy
     )
@@ -808,9 +790,7 @@ def _run_experiment_sweep(args: argparse.Namespace) -> int:
     )
 
     names = sorted(DRIVERS) if args.name == "all" else [args.name]
-    runner = ExperimentRunner(
-        args.profile, reorder_impl=getattr(args, "reorder_impl", None)
-    )
+    runner = ExperimentRunner(args.profile)
     jobs = getattr(args, "jobs", 1)
     retry = RetryPolicy.from_retries(getattr(args, "retries", 0))
     cell_timeout = getattr(args, "cell_timeout", None)
@@ -925,9 +905,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """One uncached pipeline run under a dedicated instrumentation."""
     instr = Instrumentation(enabled=True, track_rss=True)
     with obs.using(instr):
-        runner = ExperimentRunner(
-            args.profile, use_cache=False, reorder_impl=args.reorder_impl
-        )
+        runner = ExperimentRunner(args.profile, use_cache=False)
         with instr.span("profile") as wall:
             record = runner.run(
                 args.matrix, args.technique, kernel=args.kernel, policy=args.policy
@@ -946,7 +924,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         print("latency percentiles (per phase):")
         print(format_histograms(histograms))
         print()
-    _print_reorder_breakdown(runner, args, totals)
+    _print_reorder_breakdown(totals)
     print(f"wall seconds        {wall.seconds:.4f}")
     print("traffic breakdown:")
     for key in (
@@ -964,31 +942,21 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_reorder_breakdown(runner, args: argparse.Namespace, totals) -> None:
+def _print_reorder_breakdown(totals) -> None:
     """Reorder-phase split of one profiled run, from the span totals.
 
     The ``reorder`` span wraps the whole permutation computation; the
     nested ``reorder-detect`` span covers community detection for the
     detector-backed techniques (rabbit/rabbit++/louvain), so the
     difference is ordering/assembly work (dendrogram DFS, grouping,
-    permutation inversion).
+    permutation inversion).  The engine that ran is a tag on the
+    ``reorder-detect`` and ``cache-sim`` spans of the run's event log.
     """
-    from repro.reorder.dispatch import resolve_for_graph, resolve_impl
-
     reorder = totals.get("reorder")
     if reorder is None:
         return
-    graph = runner.graph(args.matrix)
-    if args.technique == "louvain" and resolve_impl(args.reorder_impl) == "auto":
-        # Louvain resolves "auto" to the reference engine (see
-        # repro.community.louvain.louvain).
-        resolved = "reference"
-    else:
-        resolved = resolve_for_graph(
-            args.reorder_impl, graph.n_nodes, graph.n_edges
-        )
     detect = totals.get("reorder-detect")
-    print(f"reorder phase breakdown (impl={resolved}):")
+    print("reorder phase breakdown:")
     print(f"  {'total reorder':24s} {reorder.seconds:.4f}s")
     if detect is not None:
         print(f"  {'community detection':24s} {detect.seconds:.4f}s")
@@ -1091,23 +1059,13 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
     from repro.resilience import quarantine_file, scan_cache
 
     if args.store:
-        return _doctor_store(args)
+        from repro.serve.store import PermutationStore
+
+        store = PermutationStore(args.cache_dir)
+        scan = store.scan(quarantine=args.quarantine)
+        return _report_scan(scan, args.quarantine, "serve store", "store", "entries")
     cache_dir = resolve_cache_dir(args.cache_dir)
     scan = scan_cache(cache_dir)
-    print(f"cache dir: {cache_dir}" + ("" if os.path.isdir(cache_dir) else " (missing)"))
-    rows = [
-        ["ok", len(scan.ok)],
-        ["legacy (unversioned)", len(scan.legacy)],
-        ["damaged", len(scan.damaged)],
-        ["quarantined", len(scan.quarantined)],
-    ]
-    print(render_table(["status", "files"], rows))
-    for name, reason in scan.damaged:
-        print(f"DAMAGED {name}: {reason}")
-    for name in scan.legacy:
-        print(f"LEGACY  {name}: missing cache envelope (will be quarantined on read)")
-    for name in scan.quarantined:
-        print(f"QUARANTINED {name}")
     if args.quarantine:
         for name, _reason in scan.damaged:
             quarantine_file(os.path.join(cache_dir, name), cache_dir=cache_dir)
@@ -1115,56 +1073,35 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
             quarantine_file(
                 os.path.join(cache_dir, name), cache_dir=cache_dir, reason="legacy"
             )
-        moved = len(scan.damaged) + len(scan.legacy)
-        if moved:
-            print(f"quarantined {moved} file(s) to {os.path.join(cache_dir, 'quarantine')}")
-    if scan.healthy:
-        print("cache integrity: OK")
-        return 0
-    print(
-        f"cache integrity: {len(scan.damaged)} damaged, "
-        f"{len(scan.legacy)} legacy file(s)",
-        file=sys.stderr,
-    )
-    return 1
+    return _report_scan(scan, args.quarantine, "cache dir", "cache", "files")
 
 
-def _doctor_store(args: argparse.Namespace) -> int:
-    """``repro doctor --store`` — serve permutation-store integrity scan."""
-    from repro.serve.store import PermutationStore
-
-    store = PermutationStore(args.cache_dir)
-    scan = store.scan(quarantine=args.quarantine)
-    print(
-        f"serve store: {store.root}"
-        + ("" if os.path.isdir(store.root) else " (missing)")
-    )
+def _report_scan(scan, quarantined: bool, title: str, subject: str, unit: str) -> int:
+    """Print one integrity scan; the exit code is 1 unless it is healthy."""
+    root = scan.cache_dir
+    print(f"{title}: {root}" + ("" if os.path.isdir(root) else " (missing)"))
     rows = [
         ["ok", len(scan.ok)],
         ["legacy (unversioned)", len(scan.legacy)],
         ["damaged", len(scan.damaged)],
         ["quarantined", len(scan.quarantined)],
     ]
-    print(render_table(["status", "entries"], rows))
+    print(render_table(["status", unit], rows))
     for name, reason in scan.damaged:
         print(f"DAMAGED {name}: {reason}")
     for name in scan.legacy:
         print(f"LEGACY  {name}: missing cache envelope (will be quarantined on read)")
     for name in scan.quarantined:
         print(f"QUARANTINED {name}")
-    if args.quarantine:
-        moved = len(scan.damaged) + len(scan.legacy)
-        if moved:
-            print(
-                f"quarantined {moved} entries to "
-                f"{os.path.join(store.root, 'quarantine')}"
-            )
+    moved = len(scan.damaged) + len(scan.legacy)
+    if quarantined and moved:
+        print(f"quarantined {moved} {unit} to {os.path.join(root, 'quarantine')}")
     if scan.healthy:
-        print("store integrity: OK")
+        print(f"{subject} integrity: OK")
         return 0
     print(
-        f"store integrity: {len(scan.damaged)} damaged, "
-        f"{len(scan.legacy)} legacy entries",
+        f"{subject} integrity: {len(scan.damaged)} damaged, "
+        f"{len(scan.legacy)} legacy {unit}",
         file=sys.stderr,
     )
     return 1
@@ -1464,7 +1401,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = ServeConfig(
         profile=args.profile,
         store_dir=args.store_dir,
-        reorder_impl=args.reorder_impl,
         default_deadline_seconds=args.deadline,
         default_iterations=args.iterations,
         max_inflight=args.max_inflight,

@@ -1,14 +1,13 @@
-"""Vectorized community-detection engines.
+"""Vectorized community-detection engine.
 
-Array-backed implementations of the detectors in
-:mod:`repro.community`, selected through the reorder dispatch layer
-(:mod:`repro.reorder.dispatch`).  Each fast engine reproduces its
-reference counterpart bit-for-bit — same float accumulation order,
+An array-backed implementation of RABBIT detection
+(:func:`repro.community.rabbit.rabbit_communities`), selected through
+the reorder dispatch layer (:mod:`repro.reorder.dispatch`).  It
+reproduces the reference bit-for-bit — same float accumulation order,
 same tie-breaking, same merge bookkeeping — so permutations and memo
 caches are byte-identical across implementations.
 """
 
-from repro.community.fast.louvain import louvain_fast
 from repro.community.fast.rabbit import rabbit_communities_fast
 
-__all__ = ["louvain_fast", "rabbit_communities_fast"]
+__all__ = ["rabbit_communities_fast"]

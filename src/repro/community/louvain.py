@@ -11,7 +11,7 @@ Rabbit detector's modularity and in detector ablations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -34,37 +34,21 @@ def louvain(
     graph: Graph,
     max_levels: int = 10,
     min_gain: float = 1e-9,
-    impl: Optional[str] = None,
 ) -> LouvainResult:
     """Run Louvain on the undirected view of ``graph``.
 
     Deterministic: nodes are visited in ascending ID order within each
-    local-moving sweep.  ``impl`` selects the engine (``"auto"`` —
-    default, also via ``$REPRO_REORDER_IMPL`` — ``"fast"``, or
-    ``"reference"``); both produce bit-identical results.
-
-    Unlike the other fast paths, ``"auto"`` resolves to the reference
-    here: Louvain's epsilon-gated gain scan is inherently sequential
-    per node, so the vectorized engine only breaks even on multi-million
-    edge graphs (~1.1x at R-MAT scale 16) and loses below that.  The
-    fast engine remains available explicitly — it exists for the
-    bit-identity guarantee, not throughput.
+    local-moving sweep.  Louvain has no fast engine: its epsilon-gated
+    gain scan is inherently sequential per node, and a vectorized port
+    lost to this loop below multi-million-edge graphs.
     """
-    # Deferred import: repro.reorder pulls this module back in.
-    from repro.reorder.dispatch import resolve_impl
-
     undirected = graph.to_undirected()
-    adjacency = undirected.adjacency
-    resolved = resolve_impl(impl)
-    if resolved == "auto":
-        resolved = "reference"
     with get_obs().span(
-        "reorder-detect", detector="louvain", impl=resolved, n_nodes=adjacency.n_rows
+        "reorder-detect",
+        detector="louvain",
+        impl="reference",
+        n_nodes=undirected.adjacency.n_rows,
     ):
-        if resolved == "fast":
-            from repro.community.fast.louvain import louvain_fast
-
-            return louvain_fast(undirected, max_levels=max_levels, min_gain=min_gain)
         return _louvain_reference(undirected, max_levels, min_gain)
 
 

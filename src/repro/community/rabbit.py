@@ -61,9 +61,10 @@ def rabbit_communities(
         is single-pass; extra passes trade pre-processing time for
         slightly higher modularity and are exposed for ablations.
     impl:
-        ``"auto"`` (default; also via ``$REPRO_REORDER_IMPL``),
-        ``"fast"`` for the vectorized engine, or ``"reference"``.
-        Both engines return bit-identical results.
+        ``"auto"`` (default: chosen from the graph size), ``"fast"``
+        for the vectorized engine, or ``"reference"``.  Both engines
+        return bit-identical results; pinning one is for differential
+        tests and benchmarks.
     """
     # Deferred import: repro.reorder pulls this module back in.
     from repro.reorder.dispatch import resolve_for_graph

@@ -85,9 +85,7 @@ def _measure_sweep_point(
     random_run = model_run(
         spmv_csr_trace(random_csr, line_bytes=platform.line_bytes), platform
     )
-    timed = reorder_with_timing(
-        make_technique(technique, impl=runner.reorder_impl), graph
-    )
+    timed = reorder_with_timing(make_technique(technique), graph)
     reordered = permute_symmetric(graph.adjacency, timed.permutation)
     reordered_run = model_run(
         spmv_csr_trace(reordered, line_bytes=platform.line_bytes), platform

@@ -37,7 +37,6 @@ def run(
         cache_dir=base.cache_dir,
         use_cache=base.use_cache,
         schedule="clustered",
-        reorder_impl=base.reorder_impl,
     )
     names = list(matrices) if matrices is not None else base.matrices()[:6]
 

@@ -65,14 +65,12 @@ def model_run(
     platform: PlatformSpec,
     policy: str = "lru",
     kernel: Optional[Union[str, KernelSpec]] = None,
-    impl: Optional[str] = None,
 ) -> KernelRunModel:
     """Simulate ``trace`` on ``platform`` and apply the run-time model.
 
     ``trace`` is normally a pre-built :class:`KernelTrace`; passing a
     sparse matrix together with ``kernel`` (a :class:`KernelSpec` or
-    canonical name) builds the trace here.  ``impl`` selects the
-    simulator engine (see :func:`repro.cache.simulate`).
+    canonical name) builds the trace here.
     """
     if kernel is not None:
         trace = KernelSpec.coerce(kernel).build_trace(trace, platform)
@@ -86,9 +84,7 @@ def model_run(
             f"({platform.line_bytes})"
         )
     config = platform.cache_config()
-    stats = simulate(
-        trace.lines, config, policy=policy, regions=trace.regions, impl=impl
-    )
+    stats = simulate(trace.lines, config, policy=policy, regions=trace.regions)
 
     # The cache simulation above carries its own "cache-sim" span; this
     # span covers only the remaining run-time-model arithmetic so the

@@ -105,7 +105,6 @@ class RunnerConfig:
     use_cache: bool = True
     schedule: str = "sequential"
     platform: Optional[PlatformSpec] = None
-    reorder_impl: Optional[str] = None
 
     @classmethod
     def from_runner(cls, runner: ExperimentRunner) -> "RunnerConfig":
@@ -115,7 +114,6 @@ class RunnerConfig:
             use_cache=runner.use_cache,
             schedule=runner.schedule,
             platform=runner.platform,
-            reorder_impl=runner.reorder_impl,
         )
 
     def make_runner(self) -> ExperimentRunner:
@@ -125,7 +123,6 @@ class RunnerConfig:
             cache_dir=self.cache_dir,
             use_cache=self.use_cache,
             schedule=self.schedule,
-            reorder_impl=self.reorder_impl,
         )
 
 

@@ -42,7 +42,7 @@ TECHNIQUE_GRAPH = {"scale": 13, "edge_factor": 16, "seed": 7}
 SMOKE_GRAPH = {"scale": 10, "edge_factor": 8, "seed": 7}
 
 #: Techniques with a dispatchable fast path, benchmarked end-to-end.
-BENCH_TECHNIQUES = ("rabbit", "rabbit++", "louvain", "rcm", "gorder")
+BENCH_TECHNIQUES = ("rabbit", "rabbit++", "rcm", "gorder")
 
 #: Name of the detection-throughput row in results/speedups.
 DETECT_ROW = "rabbit-detect"

@@ -1,30 +1,25 @@
 """Implementation selection for the reordering engine.
 
-Mirrors the cache-simulation dispatch (:mod:`repro.cache.dispatch`):
-every technique with a vectorized fast path accepts
-``impl="auto"|"fast"|"reference"``, the ``$REPRO_REORDER_IMPL``
-environment variable steers a whole run without code changes, and
-``"auto"`` picks the fast engine whenever the graph is large enough
-for numpy vectorization to beat the reference Python loops (Louvain is
-the one exception — see :func:`repro.community.louvain.louvain`).
+Mirrors the cache-simulation dispatch (:mod:`repro.cache.dispatch`)
+and shares its ``impl`` vocabulary and validator: the engine is chosen
+from the input, ``"auto"`` picking the fast engine whenever the graph
+is large enough for numpy vectorization to beat the reference Python
+loops.  Techniques without a fast path (e.g. Louvain, degree sorts,
+SlashBurn) always run their reference code.
 
 Both engines produce **bit-identical permutations** (asserted by the
 differential suite in ``tests/test_reorder_fast.py`` and re-checked by
-``repro bench-reorder``), so the choice only affects wall time — and
-therefore the memoized artifacts are byte-identical across impls.
+``repro bench-reorder``, which times both), so the choice only affects
+wall time — and therefore the memoized artifacts are byte-identical
+across engines.  ``make_technique(name, impl=...)`` pins one engine for
+those differential checks.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
-from repro.errors import ValidationError
-
-#: Environment variable overriding the default implementation choice.
-IMPL_ENV_VAR = "REPRO_REORDER_IMPL"
-
-IMPLS = ("auto", "fast", "reference")
+from repro.cache.dispatch import resolve_impl
 
 #: Below both bounds the reference loops win: the vectorized engines
 #: pay a handful of numpy-call overheads per visited node, which only
@@ -32,15 +27,6 @@ IMPLS = ("auto", "fast", "reference")
 #: corpus generators; tiny fixtures run ~2x faster on the reference).
 AUTO_MIN_NODES = 192
 AUTO_MIN_EDGES = 1024
-
-
-def resolve_impl(impl: Optional[str] = None) -> str:
-    """Validate ``impl``, consulting ``$REPRO_REORDER_IMPL`` when ``None``."""
-    if impl is None:
-        impl = os.environ.get(IMPL_ENV_VAR, "").strip().lower() or "auto"
-    if impl not in IMPLS:
-        raise ValidationError(f"impl must be one of {IMPLS}, got {impl!r}")
-    return impl
 
 
 def choose_impl(n_nodes: int, n_edges: int) -> str:
@@ -51,7 +37,7 @@ def choose_impl(n_nodes: int, n_edges: int) -> str:
 
 
 def resolve_for_graph(impl: Optional[str], n_nodes: int, n_edges: int) -> str:
-    """Full resolution: explicit arg or env, then auto thresholds."""
+    """Full resolution: validate ``impl``, then apply the auto thresholds."""
     resolved = resolve_impl(impl)
     if resolved == "auto":
         return choose_impl(n_nodes, n_edges)

@@ -25,7 +25,7 @@ class LouvainOrder(ReorderingTechnique):
         self.max_levels = int(max_levels)
 
     def _compute(self, graph: Graph) -> np.ndarray:
-        result = louvain(graph, max_levels=self.max_levels, impl=self.impl)
+        result = louvain(graph, max_levels=self.max_levels)
         labels = result.assignment.labels
         # Stable sort: communities contiguous, original order within.
         visit = np.argsort(labels, kind="stable")

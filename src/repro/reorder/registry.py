@@ -81,8 +81,8 @@ def make_technique(name: str, impl: Optional[str] = None) -> ReorderingTechnique
 
     ``impl`` pins the engine (``"auto"``/``"fast"``/``"reference"``) for
     techniques that have a vectorized fast path; ``None`` keeps the
-    default auto selection (still overridable via
-    ``$REPRO_REORDER_IMPL``).
+    default choice from the graph size.  Pinning exists for the
+    differential tests and ``repro bench-reorder``.
     """
     try:
         factory = _FACTORIES[name]

@@ -93,6 +93,11 @@ RESPONSE_SCHEMA = 1
 #: every response body so clients can pin what they parse.
 WIRE_VERSION = 1
 
+#: Engine label in store keys and response bodies.  The engine is
+#: chosen from the input and permutations are bit-identical across
+#: engines, so every entry is keyed and served as ``"auto"``.
+IMPL = "auto"
+
 #: The no-reordering baseline the amortization comparison runs against.
 BASELINE_TECHNIQUE = "original"
 
@@ -129,7 +134,6 @@ class ServeConfig:
     profile: str = "bench"
     platform: Optional[PlatformSpec] = None
     store_dir: Optional[str] = None
-    reorder_impl: Optional[str] = None
     default_technique: str = "auto"
     default_kernel: str = "spmv-csr"
     default_policy: str = "lru"
@@ -311,7 +315,7 @@ class ReorderService:
             "requested_technique": requested,
             "kernel": kernel,
             "policy": policy,
-            "impl": self._impl_name(),
+            "impl": IMPL,
             "platform": self.platform.name,
             "iterations": iterations,
             "recommendation": recommendation,
@@ -363,7 +367,7 @@ class ReorderService:
             "requested_technique": "auto",
             "kernel": kernel,
             "policy": policy,
-            "impl": self._impl_name(),
+            "impl": IMPL,
             "platform": self.platform.name,
             "iterations": iterations,
             "recommendation": recommendation,
@@ -414,9 +418,6 @@ class ReorderService:
 
     # -- evaluation (store-backed, coalesced) ---------------------------
 
-    def _impl_name(self) -> str:
-        return self.config.reorder_impl if self.config.reorder_impl else "auto"
-
     # -- store access behind its circuit breaker -------------------------
     #
     # A sick store (failing disk, injected serve.store.* faults) must
@@ -456,8 +457,7 @@ class ReorderService:
         self, graph: Graph, digest: str, technique: str, kernel: str, policy: str
     ) -> Tuple[Dict[str, object], str]:
         """Evaluated (permutation, kernel) payload plus its store state."""
-        impl = self._impl_name()
-        key = eval_key(digest, technique, impl, kernel, policy, self.platform.name)
+        key = eval_key(digest, technique, IMPL, kernel, policy, self.platform.name)
         cached = self._store_get("eval", key)
         if cached is not None:
             return cached, "hit"
@@ -502,7 +502,7 @@ class ReorderService:
                         "perm_key": perm_payload["perm_key"],
                         "matrix_digest": digest,
                         "technique": technique,
-                        "impl": impl,
+                        "impl": IMPL,
                         "kernel": kernel,
                         "policy": policy,
                         "platform": self.platform.name,
@@ -548,8 +548,7 @@ class ReorderService:
         self, graph: Graph, digest: str, technique: str
     ) -> Dict[str, object]:
         """Store-backed, coalesced permutation computation."""
-        impl = self._impl_name()
-        key = perm_key(digest, technique, impl)
+        key = perm_key(digest, technique, IMPL)
         cached = self._store_get("perm", key)
         if cached is not None:
             return cached
@@ -562,15 +561,13 @@ class ReorderService:
                 return landed
             get_obs().counter("serve.compute.permutation")
             check_deadline()
-            timed = reorder_with_timing(
-                make_technique(technique, impl=self.config.reorder_impl), graph
-            )
+            timed = reorder_with_timing(make_technique(technique), graph)
             payload: Dict[str, object] = {
                 "schema": RESPONSE_SCHEMA,
                 "perm_key": key,
                 "matrix_digest": digest,
                 "technique": technique,
-                "impl": impl,
+                "impl": IMPL,
                 "n_nodes": graph.n_nodes,
                 "seconds": timed.seconds,
                 "permutation": timed.permutation.tolist(),

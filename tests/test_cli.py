@@ -69,6 +69,17 @@ class TestObservabilityCli:
         assert "traffic breakdown" in out
         assert "normalized_traffic" in out
 
+    def test_profile_claims_no_engine_for_technique_without_fast_path(self, capsys):
+        # test-mesh is above the auto threshold, but degsort has no fast
+        # engine: the breakdown must not name one.
+        assert main(
+            ["profile", "test-mesh", "--technique", "degsort", "--profile", "test"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "reorder phase breakdown:" in out
+        assert "impl=" not in out
+        assert "community detection" not in out
+
     def test_cache_stats(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
         assert main(["evaluate", "test-mesh", "--technique", "rabbit",

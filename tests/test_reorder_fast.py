@@ -6,16 +6,19 @@ the dispatch contract (:mod:`repro.reorder.dispatch`) that lets
 ``impl="auto"`` swap engines without perturbing any downstream
 artifact.  The suite crosses the fast-path techniques with seeded
 corpus generators and structural edge cases, checks the community
-detectors underneath them, and pins the dispatch plumbing itself
-(env override, validation, auto thresholds, cached transpose,
-executor config round-trip).
+detectors underneath them (Louvain, which has no fast engine, against
+networkx's independent modularity), and pins the dispatch plumbing
+itself (validation, auto thresholds, cached transpose).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from networkx import Graph as NxGraph
+from networkx.algorithms.community import modularity as nx_modularity
 
+from repro.community import modularity
 from repro.community.louvain import louvain
 from repro.community.rabbit import rabbit_communities
 from repro.errors import ValidationError
@@ -26,9 +29,7 @@ from repro.graphs.graph import Graph
 from repro.reorder.dispatch import (
     AUTO_MIN_EDGES,
     AUTO_MIN_NODES,
-    IMPL_ENV_VAR,
     choose_impl,
-    resolve_for_graph,
     resolve_impl,
 )
 from repro.reorder.registry import make_technique
@@ -36,7 +37,7 @@ from repro.sparse.convert import coo_to_csr, csr_to_coo
 from repro.sparse.coo import COOMatrix
 from repro.sparse.ops import transpose
 
-FAST_TECHNIQUES = ("rabbit", "rabbit++", "louvain", "rcm", "gorder")
+FAST_TECHNIQUES = ("rabbit", "rabbit++", "rcm", "gorder")
 
 
 def _graph_from_coo(coo: COOMatrix, directed: bool = True) -> Graph:
@@ -125,12 +126,34 @@ class TestDetectorDifferential:
 
     @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
     def test_louvain_detection(self, graphs, graph_name):
+        """Louvain has no fast engine; networkx is its differential partner."""
         graph = graphs[graph_name]
-        ref = louvain(graph, impl="reference")
-        fast = louvain(graph, impl="fast")
-        assert np.array_equal(ref.assignment.labels, fast.assignment.labels)
-        assert ref.level_modularities == fast.level_modularities
-        assert ref.modularity == fast.modularity
+        result = louvain(graph)
+        expected = _networkx_modularity(graph, result.assignment.labels)
+        assert modularity(graph, result.assignment) == pytest.approx(expected, abs=1e-9)
+        assert result.modularity == pytest.approx(expected, abs=1e-9)
+
+    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+    def test_rabbit_modularity_matches_networkx(self, graphs, graph_name):
+        graph = graphs[graph_name]
+        assignment = rabbit_communities(graph).assignment
+        expected = _networkx_modularity(graph, assignment.labels)
+        assert modularity(graph, assignment) == pytest.approx(expected, abs=1e-9)
+
+
+def _networkx_modularity(graph: Graph, labels: np.ndarray) -> float:
+    """Modularity of ``labels`` computed by networkx on the undirected view."""
+    coo = csr_to_coo(graph.to_undirected().adjacency)
+    upper = coo.rows < coo.cols  # symmetric and loop-free: each edge once
+    nx_graph = NxGraph()
+    nx_graph.add_nodes_from(range(coo.n_rows))
+    nx_graph.add_weighted_edges_from(
+        zip(coo.rows[upper].tolist(), coo.cols[upper].tolist(), coo.values[upper].tolist())
+    )
+    if nx_graph.number_of_edges() == 0:
+        return 0.0  # networkx divides by the edge weight; Q is defined as 0 here
+    communities = [set(np.flatnonzero(labels == c).tolist()) for c in np.unique(labels)]
+    return nx_modularity(nx_graph, communities)
 
 
 class TestDispatch:
@@ -139,16 +162,6 @@ class TestDispatch:
         assert resolve_impl(None) == "auto"
         with pytest.raises(ValidationError, match="impl"):
             resolve_impl("fastest")
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(IMPL_ENV_VAR, "reference")
-        assert resolve_impl(None) == "reference"
-        assert resolve_for_graph(None, 10**6, 10**7) == "reference"
-        # Explicit argument beats the environment.
-        assert resolve_impl("fast") == "fast"
-        monkeypatch.setenv(IMPL_ENV_VAR, "bogus")
-        with pytest.raises(ValidationError):
-            resolve_impl(None)
 
     def test_auto_thresholds(self):
         assert choose_impl(AUTO_MIN_NODES, 0) == "fast"
@@ -162,16 +175,6 @@ class TestDispatch:
     def test_make_technique_sets_impl(self):
         assert make_technique("rabbit", impl="fast").impl == "fast"
         assert make_technique("rabbit").impl is None
-
-    def test_env_steers_whole_run(self, graphs, monkeypatch):
-        """A tiny graph defaults to the reference; the env var can force
-        the fast engine anyway, and the output must not change."""
-        graph = graphs["disconnected"]
-        assert resolve_for_graph(None, graph.n_nodes, graph.n_edges) == "reference"
-        default = make_technique("rcm").compute(graph)
-        monkeypatch.setenv(IMPL_ENV_VAR, "fast")
-        forced = make_technique("rcm").compute(graph)
-        assert np.array_equal(default, forced)
 
 
 class TestInAdjacencyCache:
@@ -187,15 +190,3 @@ class TestInAdjacencyCache:
         graph = graphs["erdos"]
         assert graph.in_adjacency is graph.in_adjacency
 
-
-class TestExecutorConfigRoundTrip:
-    def test_runner_config_carries_impl(self, tmp_path):
-        from repro.experiments.runner import ExperimentRunner
-        from repro.parallel.executor import RunnerConfig
-
-        runner = ExperimentRunner(
-            profile="test", cache_dir=str(tmp_path), reorder_impl="reference"
-        )
-        config = RunnerConfig.from_runner(runner)
-        assert config.reorder_impl == "reference"
-        assert config.make_runner().reorder_impl == "reference"

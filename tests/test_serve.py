@@ -105,6 +105,21 @@ def test_keys_depend_on_every_component():
     assert len(keys) == 7
 
 
+def test_store_keys_are_pinned(service):
+    """Store addresses never move: entries written by earlier releases
+    must keep hitting.  The engine label in every key is ``"auto"``."""
+    digest = "76eaa6ec94835046fa599132cf23a9e543852ed95dd954b83ea45c5d1f8ba796"
+    pinned_perm = "3e04f59c0f77d38a8451b794f711b669422a5e4b1a04b1b47801da0f9dc18500"
+    pinned_eval = "098702bd09fa43a82c2122ce0be31936bf0ca6bb5a5e121a729cde6455caab8a"
+    assert perm_key(digest, "rabbit", "auto") == pinned_perm
+    assert eval_key(digest, "rabbit", "auto", "spmv-csr", "lru", "test-a6000") == pinned_eval
+    body = service.handle({"matrix": "test-comm", "technique": "rabbit"}).payload
+    assert body["matrix"]["digest"] == digest
+    assert (body["perm_key"], body["eval_key"], body["impl"]) == (
+        pinned_perm, pinned_eval, "auto"
+    )
+
+
 def test_store_roundtrip_and_quarantine(tmp_path, instr):
     store = PermutationStore(str(tmp_path / "store"))
     key = perm_key("digest", "rcm", "auto")

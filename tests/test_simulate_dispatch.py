@@ -1,4 +1,4 @@
-"""The public simulate() dispatch: impl resolution, env override, obs."""
+"""The public simulate() dispatch: impl resolution, inputs, obs."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 import repro
 from repro.cache import CacheConfig, simulate
 from repro.cache.dispatch import (
-    IMPL_ENV_VAR,
     _FAST_MIN_ACCESSES,
     _FAST_MIN_SETS,
     _choose_impl,
@@ -33,19 +32,10 @@ def config():
 
 
 class TestResolution:
-    def test_explicit_impl_wins(self, trace, config, monkeypatch):
-        monkeypatch.setenv(IMPL_ENV_VAR, "fast")
+    def test_explicit_impl_wins(self, trace, config):
         reference = simulate(trace, config, impl="reference")
         fast = simulate(trace, config, impl="fast")
         assert reference == fast
-
-    def test_env_override(self, trace, config, monkeypatch):
-        for value in ("reference", "fast", "AUTO", " fast "):
-            monkeypatch.setenv(IMPL_ENV_VAR, value)
-            assert simulate(trace, config).accesses == trace.size
-        monkeypatch.setenv(IMPL_ENV_VAR, "turbo")
-        with pytest.raises(ValidationError):
-            simulate(trace, config)
 
     def test_invalid_impl_rejected(self, trace, config):
         with pytest.raises(ValidationError):
@@ -55,10 +45,7 @@ class TestResolution:
         with pytest.raises(ValidationError):
             simulate(trace, config, policy="fifo")
 
-    def test_resolve_impl_defaults_to_auto(self, monkeypatch):
-        monkeypatch.delenv(IMPL_ENV_VAR, raising=False)
-        assert resolve_impl(None) == "auto"
-        monkeypatch.setenv(IMPL_ENV_VAR, "")
+    def test_resolve_impl_defaults_to_auto(self):
         assert resolve_impl(None) == "auto"
 
     def test_auto_heuristic(self):
@@ -109,17 +96,7 @@ class TestObsWiring:
         assert instr.counters.get("cache.lru.accesses") == trace.size
 
 
-class TestDeprecatedAliases:
-    def test_aliases_warn_and_match_simulate(self, trace, config):
-        from repro.cache import simulate_belady, simulate_lru
-
-        with pytest.warns(DeprecationWarning, match="repro.cache.simulate"):
-            lru = simulate_lru(trace, config)
-        assert lru == simulate(trace, config, policy="lru", impl="reference")
-        with pytest.warns(DeprecationWarning, match="repro.cache.simulate"):
-            belady = simulate_belady(trace, config)
-        assert belady == simulate(trace, config, policy="belady", impl="reference")
-
+class TestFacade:
     def test_facade_exports(self):
         assert repro.simulate is simulate
         assert repro.KernelSpec is KernelSpec
