@@ -12,7 +12,6 @@ Examples::
     repro cache-stats
     repro doctor
     repro run-all --jobs 4 --retries 2 --cell-timeout 120 --keep-going
-    repro run-all --resume
     repro runs list
     repro trace <run_id> --chrome /tmp/trace.json
     repro bench --check --strict
@@ -37,6 +36,12 @@ files from the parent *and* every pool worker (disable with
 renders the stitched cross-process span tree and exports Chrome
 trace-event JSON; ``repro bench --check`` gates fresh benchmark
 payloads against committed baselines.
+
+Memo, serve and matrix entries share one on-disk store
+(:mod:`repro.store`) rooted at ``--cache-dir``, else
+``$REPRO_CACHE_DIR``, else ``./.repro_cache``: ``repro doctor`` verifies
+every entry in it, ``repro cache-stats`` sizes it per kind, and a rerun
+of a killed sweep recomputes only the cells whose entry is missing.
 """
 
 from __future__ import annotations
@@ -50,8 +55,8 @@ from typing import List, Optional
 
 from repro import obs
 from repro.experiments.report import render_table
-from repro.experiments.run_all import ABLATIONS, DRIVERS, run_experiment, timing_summary
-from repro.experiments.runner import ExperimentRunner, resolve_cache_dir
+from repro.experiments.run_all import ABLATIONS, DRIVERS, run_all, timing_summary
+from repro.experiments.runner import ExperimentRunner
 from repro.graphs.corpus import PROFILES, load_matrix, selection_report
 from repro.graphs.io import write_matrix_market
 from repro.obs import (
@@ -74,13 +79,9 @@ from repro.obs.ledger import (
 )
 from repro.reorder.benchreorder import BENCH_TECHNIQUES, SCALE_GRAPH
 from repro.reorder.registry import available_techniques
+from repro.store import KINDS, resolve_cache_dir, scan, stats
 
 LOG_LEVELS = ("debug", "info", "warning", "error")
-
-#: Memo-file kinds recognized by ``repro cache-stats`` (longest first,
-#: so ``reorder-time-...json`` is not misread as kind ``reorder``).
-_CACHE_KINDS = ("reorder-time", "metrics", "run")
-
 
 #: Subcommands that write a run ledger (manifest + event files) under
 #: ``runs/<run_id>/`` unless ``--no-ledger``; the value is the manifest
@@ -262,24 +263,18 @@ def _build_parser() -> argparse.ArgumentParser:
     run_all.set_defaults(handler=_cmd_run_all)
 
     doctor = subparsers.add_parser(
-        "doctor", help="verify memo-cache integrity (CI guard: exits 1 on damage)"
+        "doctor",
+        help="verify every memo, serve and matrix entry (CI guard: exits 1 on damage)",
     )
     doctor.add_argument(
         "--cache-dir",
         default=None,
-        help="memo directory (default: $REPRO_CACHE_DIR or ./.repro_cache); "
-        "with --store, the store root to scan instead",
-    )
-    doctor.add_argument(
-        "--store",
-        action="store_true",
-        help="scan the serve permutation store (default root: "
-        "$REPRO_SERVE_STORE or <cache>/serve-store) instead of the memo cache",
+        help="store root (default: $REPRO_CACHE_DIR or ./.repro_cache)",
     )
     doctor.add_argument(
         "--quarantine",
         action="store_true",
-        help="move damaged/legacy files to <cache>/quarantine/ instead of "
+        help="move damaged/legacy entries to <cache>/quarantine/ instead of "
         "only reporting them",
     )
     doctor.set_defaults(handler=_cmd_doctor)
@@ -296,12 +291,12 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.set_defaults(handler=_cmd_profile)
 
     cache_stats = subparsers.add_parser(
-        "cache-stats", help="report .repro_cache/ memoization effectiveness"
+        "cache-stats", help="report store entries per kind and memo effectiveness"
     )
     cache_stats.add_argument(
         "--cache-dir",
         default=None,
-        help="memo directory (default: $REPRO_CACHE_DIR or ./.repro_cache)",
+        help="store root (default: $REPRO_CACHE_DIR or ./.repro_cache)",
     )
     cache_stats.set_defaults(handler=_cmd_cache_stats)
 
@@ -494,8 +489,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="permutation store root (default: $REPRO_SERVE_STORE or "
-        "<cache>/serve-store)",
+        help="permutation store root (default: the memo root, "
+        "$REPRO_CACHE_DIR or ./.repro_cache)",
     )
     serve.add_argument(
         "--deadline",
@@ -597,8 +592,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store-dir",
         default=None,
         metavar="DIR",
-        help="store root for a spawned server (fresh temp dir by default "
-        "keeps the first touches honest misses)",
+        help="store root for a spawned server (default: the memo root; "
+        "a fresh dir keeps the first touches honest misses)",
     )
     serve_bench.add_argument(
         "--json",
@@ -727,12 +722,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         "the sweep with partial results instead of aborting "
         "(exit code 1 if anything failed permanently)",
     )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="skip cells already checkpointed in the sweep manifest "
-        "(written next to the memo cache by every sweep)",
-    )
 
 
 def _cmd_corpus(args: argparse.Namespace) -> int:
@@ -781,85 +770,18 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _run_experiment_sweep(args: argparse.Namespace) -> int:
-    from repro.resilience import (
-        CellFailure,
-        FailureReport,
-        RetryPolicy,
-        SweepManifest,
-        is_transient,
-    )
+    from repro.resilience import FailureReport, RetryPolicy
 
     names = sorted(DRIVERS) if args.name == "all" else [args.name]
-    runner = ExperimentRunner(args.profile)
-    jobs = getattr(args, "jobs", 1)
-    retry = RetryPolicy.from_retries(getattr(args, "retries", 0))
-    cell_timeout = getattr(args, "cell_timeout", None)
     keep_going = getattr(args, "keep_going", False)
-    manifest = SweepManifest.for_sweep(
-        runner.cache_dir, args.profile, resume=getattr(args, "resume", False)
-    )
     ledger = getattr(args, "_ledger", None)
     if ledger is not None:
-        manifest.add_run_id(ledger.run_id)
         ledger.record(
             "corpus_profile",
             {"profile": args.profile, "experiments": names},
         )
-    pending_cell_failures: dict = {}
-    if jobs > 1:
-        from repro.parallel import plan_cells, precompute
 
-        drivers = {n: DRIVERS.get(n) or ABLATIONS[n] for n in names}
-        n_cells = len(plan_cells(drivers, args.profile))
-        cell_progress = ProgressReporter(
-            n_cells, label="precompute", enabled=not args.quiet and n_cells > 0
-        )
-        stats = precompute(
-            drivers,
-            runner,
-            jobs,
-            progress=cell_progress,
-            retry=retry,
-            cell_timeout=cell_timeout,
-            keep_going=keep_going,
-            manifest=manifest,
-        )
-        cell_progress.finish()
-        # Precompute failures are provisional: the in-process driver
-        # replay recomputes any missing cell, so a failure only sticks
-        # if the driver that needs it fails too.
-        pending_cell_failures = {f.label: f for f in stats.failures}
-    progress = ProgressReporter(
-        len(names), label="experiments", enabled=not args.quiet and len(names) > 1
-    )
-    failures = FailureReport()
-    for name in names:
-        try:
-            report = run_experiment(name, profile=args.profile, runner=runner)
-        except Exception as exc:
-            if not keep_going:
-                raise
-            import traceback
-
-            failures.add(
-                CellFailure(
-                    label=f"driver:{name}",
-                    error_type=type(exc).__name__,
-                    message=str(exc),
-                    attempts=1,
-                    transient=is_transient(exc),
-                    traceback=traceback.format_exc(),
-                )
-            )
-            progress.update(name)
-            continue
-        manifest.mark_driver(name)
-        if pending_cell_failures:
-            from repro.parallel import driver_plan
-
-            for cell in driver_plan(DRIVERS.get(name) or ABLATIONS[name], args.profile):
-                pending_cell_failures.pop(cell.label(), None)
-        progress.update(name)
+    def print_report(report) -> None:
         print(report.to_text())
         if getattr(args, "figure", False):
             column = _first_numeric_column(report.rows)
@@ -867,7 +789,25 @@ def _run_experiment_sweep(args: argparse.Namespace) -> int:
                 print()
                 print(report.to_figure(value_column=column))
         print()
-    progress.finish()
+
+    failures = FailureReport()
+    try:
+        run_all(
+            args.profile,
+            progress=None
+            if args.quiet
+            else ProgressReporter(len(names), label="experiments", enabled=len(names) > 1),
+            jobs=getattr(args, "jobs", 1),
+            retry=RetryPolicy.from_retries(getattr(args, "retries", 0)),
+            cell_timeout=getattr(args, "cell_timeout", None),
+            keep_going=keep_going,
+            names=names,
+            on_report=print_report,
+            failures=failures,
+        )
+    finally:
+        if ledger is not None and failures:
+            ledger.record("failures", failures.to_json())
     # Keyed on the explicit log flags, not obs.enabled: the run ledger
     # enables instrumentation for every sweep, but the stdout timing
     # dump should stay opt-in.
@@ -875,12 +815,7 @@ def _run_experiment_sweep(args: argparse.Namespace) -> int:
         print("== where the time went ==")
         print(timing_summary())
     if keep_going:
-        for failure in pending_cell_failures.values():
-            failures.add(failure)
-        manifest.record_failures(failures)
         print(failures.summary_text(), file=sys.stderr if failures else sys.stdout)
-        if ledger is not None and failures:
-            ledger.record("failures", failures.to_json())
         if failures:
             return 1
     return 0
@@ -972,31 +907,13 @@ def _print_reorder_breakdown(totals) -> None:
 
 def _cmd_cache_stats(args: argparse.Namespace) -> int:
     cache_dir = resolve_cache_dir(args.cache_dir)
-    entries = {kind: [0, 0] for kind in _CACHE_KINDS}  # kind -> [count, bytes]
-    other = [0, 0]
-    if os.path.isdir(cache_dir):
-        for name in os.listdir(cache_dir):
-            path = os.path.join(cache_dir, name)
-            if not (name.endswith(".json") and os.path.isfile(path)):
-                continue
-            size = os.path.getsize(path)
-            for kind in _CACHE_KINDS:
-                if name.startswith(f"{kind}-"):
-                    entries[kind][0] += 1
-                    entries[kind][1] += size
-                    break
-            else:
-                other[0] += 1
-                other[1] += size
-    rows = [[kind, count, size] for kind, (count, size) in entries.items()]
-    if other[0]:
-        rows.append(["other", other[0], other[1]])
-    total_count = sum(row[1] for row in rows)
-    total_bytes = sum(row[2] for row in rows)
-    rows.append(["total", total_count, total_bytes])
+    usage = stats(cache_dir)
+    kinds = list(KINDS) + (["other"] if usage["other"]["entries"] else [])
+    rows = [[kind, usage[kind]["entries"], usage[kind]["bytes"]] for kind in kinds]
+    rows.append(["total", sum(row[1] for row in rows), sum(row[2] for row in rows)])
     print(f"cache dir: {cache_dir}" + ("" if os.path.isdir(cache_dir) else " (missing)"))
     print(render_table(["kind", "entries", "bytes"], rows))
-    _print_quarantine_stats(cache_dir)
+    _print_quarantine_stats(usage["quarantine"])
 
     counters = get_obs().counters.snapshot()["counters"]
     hits = sum(v for k, v in counters.items() if k.startswith("memo.") and k.endswith(".hit"))
@@ -1012,96 +929,66 @@ def _cmd_cache_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_quarantine_stats(cache_dir: str) -> None:
-    """Quarantine subdirectory contents: count, bytes, newest entry.
+def _print_quarantine_stats(quarantine) -> None:
+    """Quarantine contents: entries, bytes, newest entry.
 
-    Quarantined files are damaged/legacy memo files ``repro doctor
-    --quarantine`` (or a failed read) moved out of the cache's read
-    path; surfacing them here keeps silent data loss visible.
+    Quarantined entries are damaged/legacy files or matrix directories
+    that ``repro doctor --quarantine`` (or a failed read) moved out of
+    the store's read path; surfacing them here keeps silent data loss
+    visible.
     """
-    from repro.resilience import quarantine_path
-
-    qdir = quarantine_path(cache_dir)
-    entries = []
-    if os.path.isdir(qdir):
-        for name in sorted(os.listdir(qdir)):
-            path = os.path.join(qdir, name)
-            if os.path.isfile(path):
-                entries.append((name, os.path.getsize(path), os.path.getmtime(path)))
     print()
-    if not entries:
+    if not quarantine["entries"]:
         print("quarantine: empty")
         return
-    total_bytes = sum(size for _, size, _ in entries)
-    newest = max(entries, key=lambda e: e[2])
     import datetime
 
-    stamp = datetime.datetime.fromtimestamp(newest[2]).strftime("%Y-%m-%d %H:%M:%S")
+    name, mtime = quarantine["newest"]
+    stamp = datetime.datetime.fromtimestamp(mtime).strftime("%Y-%m-%d %H:%M:%S")
     print(
-        f"quarantine: {len(entries)} file(s), {total_bytes} bytes "
-        f"(newest: {newest[0]}, {stamp})"
+        f"quarantine: {quarantine['entries']} entries, {quarantine['bytes']} bytes "
+        f"(newest: {name}, {stamp})"
     )
     print("  inspect with: repro doctor; clear by deleting the quarantine dir")
 
 
 def _cmd_doctor(args: argparse.Namespace) -> int:
-    """``repro doctor`` — memo-cache integrity scan (CI guard).
+    """``repro doctor`` — integrity scan of the whole store (CI guard).
 
-    Exits 0 when every in-cache memo file verifies; 1 when any file is
-    damaged (bad JSON, checksum or schema mismatch) or predates cache
-    versioning.  Already-quarantined files are reported but don't fail
-    the scan — they are out of the cache's read path.
-
-    With ``--store`` the scan targets the serve permutation store
-    instead (same integrity report, nested layout); the server runs the
-    same scrub with quarantine at startup.
+    Verifies every enveloped JSON under the root: memo entries (run,
+    metrics, reorder-time, fig9), serve entries (perm, eval) and matrix
+    entries (``graph.json`` and each memmap ``meta.json``).  Exits 0
+    when all verify; 1 when any is damaged (bad JSON, checksum or
+    schema mismatch) or predates cache versioning.  Already-quarantined
+    entries are reported but don't fail the scan — they are out of the
+    read path.  ``repro serve`` runs the same scrub with quarantine at
+    startup.
     """
-    from repro.resilience import quarantine_file, scan_cache
-
-    if args.store:
-        from repro.serve.store import PermutationStore
-
-        store = PermutationStore(args.cache_dir)
-        scan = store.scan(quarantine=args.quarantine)
-        return _report_scan(scan, args.quarantine, "serve store", "store", "entries")
-    cache_dir = resolve_cache_dir(args.cache_dir)
-    scan = scan_cache(cache_dir)
-    if args.quarantine:
-        for name, _reason in scan.damaged:
-            quarantine_file(os.path.join(cache_dir, name), cache_dir=cache_dir)
-        for name in scan.legacy:
-            quarantine_file(
-                os.path.join(cache_dir, name), cache_dir=cache_dir, reason="legacy"
-            )
-    return _report_scan(scan, args.quarantine, "cache dir", "cache", "files")
-
-
-def _report_scan(scan, quarantined: bool, title: str, subject: str, unit: str) -> int:
-    """Print one integrity scan; the exit code is 1 unless it is healthy."""
-    root = scan.cache_dir
-    print(f"{title}: {root}" + ("" if os.path.isdir(root) else " (missing)"))
+    root = resolve_cache_dir(args.cache_dir)
+    result = scan(root, quarantine=args.quarantine)
+    print(f"cache dir: {root}" + ("" if os.path.isdir(root) else " (missing)"))
     rows = [
-        ["ok", len(scan.ok)],
-        ["legacy (unversioned)", len(scan.legacy)],
-        ["damaged", len(scan.damaged)],
-        ["quarantined", len(scan.quarantined)],
+        ["ok", len(result.ok)],
+        ["legacy (unversioned)", len(result.legacy)],
+        ["damaged", len(result.damaged)],
+        ["quarantined", len(result.quarantined)],
     ]
-    print(render_table(["status", unit], rows))
-    for name, reason in scan.damaged:
+    print(render_table(["status", "files"], rows))
+    for name, reason in result.damaged:
         print(f"DAMAGED {name}: {reason}")
-    for name in scan.legacy:
+    for name in result.legacy:
         print(f"LEGACY  {name}: missing cache envelope (will be quarantined on read)")
-    for name in scan.quarantined:
+    for name in result.quarantined:
         print(f"QUARANTINED {name}")
-    moved = len(scan.damaged) + len(scan.legacy)
-    if quarantined and moved:
-        print(f"quarantined {moved} {unit} to {os.path.join(root, 'quarantine')}")
-    if scan.healthy:
-        print(f"{subject} integrity: OK")
+    moved = len(result.damaged) + len(result.legacy)
+    if args.quarantine and moved:
+        print(f"quarantined {moved} files to {os.path.join(root, 'quarantine')}")
+    if result.healthy:
+        print("cache integrity: OK")
         return 0
     print(
-        f"{subject} integrity: {len(scan.damaged)} damaged, "
-        f"{len(scan.legacy)} legacy {unit}",
+        f"cache integrity: {len(result.damaged)} damaged, "
+        f"{len(result.legacy)} legacy files",
         file=sys.stderr,
     )
     return 1
@@ -1412,7 +1299,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     service = ReorderService(config)
     # Startup scrub: quarantine any crash-corrupted store entry before
     # the first request, so damage can never serve as a bad hit.
-    scrub = service.store.scan(quarantine=True)
+    scrub = scan(service.store.root, quarantine=True)
     if not scrub.healthy and not args.quiet:
         print(
             f"repro serve: startup scrub quarantined "

@@ -58,7 +58,7 @@ def _sweep_graph(n: int) -> Graph:
 
 
 def _sweep_cache_path(runner: ExperimentRunner, platform, n: int, technique: str) -> str:
-    return runner._cache_path("fig9", f"{platform.name}|{n}|{technique}")
+    return runner.memo_path("fig9", f"{platform.name}|{n}|{technique}")
 
 
 def _sweep_point(runner: ExperimentRunner, platform, n: int, technique: str):
@@ -68,7 +68,7 @@ def _sweep_point(runner: ExperimentRunner, platform, n: int, technique: str):
     is quarantined and re-measured instead of crashing the driver.
     """
     path = _sweep_cache_path(runner, platform, n, technique)
-    point = runner._load_payload(path, kind="fig9")
+    point = runner.load_memo(path, kind="fig9")
     if point is None:
         return None
     if point["iterations"] is None:
@@ -100,7 +100,7 @@ def _measure_sweep_point(
         "seconds": timed.seconds,
         "iterations": None if iterations == float("inf") else iterations,
     }
-    runner._write_json(_sweep_cache_path(runner, platform, n, technique), point)
+    runner.write_memo(_sweep_cache_path(runner, platform, n, technique), point)
     point["iterations"] = iterations
     return point
 

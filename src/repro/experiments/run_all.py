@@ -3,16 +3,10 @@
 from __future__ import annotations
 
 import traceback
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.errors import ExperimentError
-from repro.resilience import (
-    CellFailure,
-    FailureReport,
-    RetryPolicy,
-    SweepManifest,
-    is_transient,
-)
+from repro.errors import ExperimentError, SweepFailure
+from repro.resilience import CellFailure, FailureReport, RetryPolicy, is_transient
 from repro.experiments import (
     correlations,
     corpus_report,
@@ -36,7 +30,7 @@ from repro.experiments import (
 from repro.experiments.report import ExperimentReport
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import ProgressReporter, format_span_totals, get_obs, logger
-from repro.parallel import driver_plan, precompute
+from repro.parallel import driver_plan, plan_cells, precompute
 
 DRIVERS: Dict[str, Callable[..., ExperimentReport]] = {
     "table1": table1.run,
@@ -65,15 +59,19 @@ ABLATIONS: Dict[str, Callable[..., ExperimentReport]] = {
 }
 
 
-def run_experiment(
-    name: str, profile: str = "full", runner: Optional[ExperimentRunner] = None
-) -> ExperimentReport:
+def _driver(name: str) -> Callable[..., ExperimentReport]:
     try:
-        driver = DRIVERS.get(name) or ABLATIONS[name]
+        return DRIVERS.get(name) or ABLATIONS[name]
     except KeyError:
         raise ExperimentError(
             f"unknown experiment {name!r}; available: {sorted(DRIVERS) + sorted(ABLATIONS)}"
         ) from None
+
+
+def run_experiment(
+    name: str, profile: str = "full", runner: Optional[ExperimentRunner] = None
+) -> ExperimentReport:
+    driver = _driver(name)
     obs = get_obs()
     logger.info("experiment %s: starting (profile=%s)", name, profile)
     with obs.span(f"experiment.{name}", profile=profile) as span:
@@ -93,53 +91,70 @@ def run_all(
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     keep_going: bool = False,
-    resume: bool = False,
+    names: Optional[Sequence[str]] = None,
+    on_report: Optional[Callable[[ExperimentReport], None]] = None,
+    failures: Optional[FailureReport] = None,
 ) -> List[ExperimentReport]:
-    """Run every driver, sharing one runner (and its caches).
+    """Run drivers in order, sharing one runner (and its caches).
 
-    Pass a :class:`ProgressReporter` to get per-driver progress lines;
-    ``None`` keeps the sweep silent (the library default).
+    ``names`` picks the drivers (ablations included); the default is
+    every paper-artifact driver.  ``on_report`` sees each report as
+    soon as its driver finishes.  Pass a :class:`ProgressReporter` to
+    get per-driver progress lines (plus per-cell lines while
+    precomputing); ``None`` keeps the sweep silent (the library
+    default).
 
     ``jobs > 1`` first precomputes every driver's pipeline cells in
     that many worker processes sharing the on-disk memo (see
     :mod:`repro.parallel`), then runs the drivers in-process as memo
-    hits; ``jobs=1`` is exactly the historical sequential path.
+    hits; ``jobs=1`` is exactly the historical sequential path.  Either
+    way a rerun of a killed sweep recomputes only the cells whose memo
+    entry is missing.
 
-    Resilience: the sweep checkpoints completed cells and drivers to a
-    versioned manifest next to the memo cache, so ``resume=True``
-    skips work a killed sweep already finished.  ``retry`` and
-    ``cell_timeout`` govern the precompute phase (see
-    :func:`repro.parallel.execute_cells`); with ``keep_going=True`` a
-    failing driver is recorded in a :class:`FailureReport` (logged
-    loudly at the end, persisted in the manifest) instead of aborting
-    the remaining drivers, and the partial report list is returned.
+    Resilience: ``retry`` and ``cell_timeout`` govern the precompute
+    phase (see :func:`repro.parallel.execute_cells`).  With
+    ``keep_going=True`` a failing driver is recorded in a
+    :class:`FailureReport` (logged loudly at the end) instead of
+    aborting the remaining drivers, and the partial report list is
+    returned; otherwise the first failure propagates.  Either way every
+    permanent failure is added to ``failures`` when one is passed, so
+    the caller can persist it (the CLI writes it to the run ledger).
     """
+    names = list(DRIVERS) if names is None else list(names)
+    drivers = {name: _driver(name) for name in names}
+    failures = failures if failures is not None else FailureReport()
     runner = ExperimentRunner(profile)
-    manifest = SweepManifest.for_sweep(runner.cache_dir, profile, resume=resume)
     pending_cell_failures = {}
     if jobs > 1:
-        stats = precompute(
-            DRIVERS,
-            runner,
-            jobs,
-            retry=retry,
-            cell_timeout=cell_timeout,
-            keep_going=keep_going,
-            manifest=manifest,
+        n_cells = len(plan_cells(drivers, profile))
+        cell_progress = ProgressReporter(
+            n_cells, label="precompute", enabled=progress is not None and n_cells > 0
         )
+        try:
+            stats = precompute(
+                drivers,
+                runner,
+                jobs,
+                progress=cell_progress,
+                retry=retry,
+                cell_timeout=cell_timeout,
+                keep_going=keep_going,
+            )
+        except SweepFailure as exc:
+            for failure in exc.report or ():
+                failures.add(failure)
+            raise
+        cell_progress.finish()
         # Provisional: the in-process driver replay recomputes any
         # missing cell, so a precompute failure only sticks if the
         # driver that needs the cell fails too.
         if stats is not None:
             pending_cell_failures = {f.label: f for f in stats.failures}
     reports = []
-    failures = FailureReport()
-    for name in DRIVERS:
+    for name in names:
         try:
-            reports.append(run_experiment(name, profile=profile, runner=runner))
+            report = run_experiment(name, profile=profile, runner=runner)
         except Exception as exc:
-            if not keep_going:
-                raise
             get_obs().counter("resilience.drivers_failed")
             failures.add(
                 CellFailure(
@@ -151,12 +166,16 @@ def run_all(
                     traceback=traceback.format_exc(),
                 )
             )
+            if not keep_going:
+                raise
             logger.error("driver %s failed (continuing): %s", name, exc)
-            continue
-        manifest.mark_driver(name)
-        if pending_cell_failures:
-            for cell in driver_plan(DRIVERS[name], profile):
-                pending_cell_failures.pop(cell.label(), None)
+        else:
+            reports.append(report)
+            if pending_cell_failures:
+                for cell in driver_plan(drivers[name], profile):
+                    pending_cell_failures.pop(cell.label(), None)
+            if on_report is not None:
+                on_report(report)
         if progress is not None:
             progress.update(name)
     if progress is not None:
@@ -164,7 +183,6 @@ def run_all(
     for failure in pending_cell_failures.values():
         failures.add(failure)
     if failures:
-        manifest.record_failures(failures)
         logger.error("%s", failures.summary_text())
     return reports
 

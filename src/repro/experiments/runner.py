@@ -7,14 +7,14 @@ The experiment drivers all need the same pipeline:
 
 plus the matrix-structure metrics (insularity, skew, community stats)
 computed from the RABBIT detection.  Both stages are deterministic, so
-the runner memoizes simulation records and matrix metrics as JSON files
-under ``.repro_cache/`` (permutations are additionally memoized
-in-process).  Delete the cache directory to force recomputation.
+the runner memoizes simulation records and matrix metrics as JSON
+entries of the one on-disk store (:mod:`repro.store`: ``run/``,
+``metrics/``, ``reorder-time/``; permutations are additionally memoized
+in-process).  Delete the store root to force recomputation.
 
-The memo directory can be redirected without code changes by setting
-the ``REPRO_CACHE_DIR`` environment variable (useful for CI and
-multi-run jobs); an explicit ``cache_dir=`` argument still wins, and
-``DEFAULT_CACHE_DIR`` (``./.repro_cache``) is the fallback.
+The root is :func:`repro.store.resolve_cache_dir`: an explicit
+``cache_dir=`` argument, else ``$REPRO_CACHE_DIR``, else
+``./.repro_cache``.
 
 Every pipeline stage runs inside an observability span (``load``,
 ``reorder``, ``permute``, ``mask``, ``trace``, ``cache-sim``,
@@ -48,6 +48,7 @@ from repro.resilience.faults import fault_point
 from repro.resilience.integrity import (
     atomic_write_document,
     load_or_quarantine,
+    quarantine_file,
     wrap_payload,
 )
 from repro.reorder.base import TimedReordering, reorder_with_timing
@@ -55,31 +56,11 @@ from repro.reorder.rabbit import RabbitOrder
 from repro.reorder.registry import make_technique
 from repro.sparse.mask import restrict_to_nodes
 from repro.sparse.permute import permute_symmetric
+from repro.store import kind_dir, resolve_cache_dir
 from repro.trace.kernelspec import KernelSpec
 
 KERNELS = ("spmv-csr", "spmv-coo", "spmm-csr-4", "spmm-csr-256", "spgemm-csr")
 MASKS = ("none", "insular")
-
-#: Default memo directory *name*, resolved against the working
-#: directory at call time (not import time) by :func:`resolve_cache_dir`.
-DEFAULT_CACHE_DIR = ".repro_cache"
-
-
-def resolve_cache_dir(cache_dir: Optional[str] = None) -> str:
-    """Explicit argument, else ``$REPRO_CACHE_DIR``, else the default.
-
-    The default is resolved against the *current* working directory on
-    every call, so a ``chdir`` after import (pytest tmp dirs, pool
-    workers, long-lived services) does not silently pin the memo to the
-    import-time directory.
-    """
-    if cache_dir is not None:
-        return cache_dir
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.getcwd(), DEFAULT_CACHE_DIR)
-
 
 @dataclass
 class RunRecord:
@@ -206,7 +187,7 @@ class ExperimentRunner:
         """Insularity/skew/community statistics (RABBIT detection)."""
         obs = get_obs()
         path = self.metrics_cache_path(matrix)
-        payload = self._load_payload(path, kind="metrics", matrix=matrix)
+        payload = self.load_memo(path, kind="metrics", matrix=matrix)
         if payload is not None:
             obs.counter("memo.metrics.hit")
             return MatrixMetrics.from_json(payload)
@@ -228,7 +209,7 @@ class ExperimentRunner:
                 normalized_avg_community_size=stats.normalized_average_size,
                 largest_community_fraction=stats.largest_fraction,
             )
-        self._write_json(path, metrics.to_json())
+        self.write_memo(path, metrics.to_json())
         return metrics
 
     # -- simulation -----------------------------------------------------
@@ -248,7 +229,7 @@ class ExperimentRunner:
             raise ValidationError(f"mask must be one of {MASKS}, got {mask!r}")
         obs = get_obs()
         cache_key = self.run_cache_path(matrix, technique, kernel, policy, mask)
-        payload = self._load_payload(
+        payload = self.load_memo(
             cache_key, kind="run", matrix=matrix, technique=technique
         )
         if payload is not None:
@@ -291,7 +272,7 @@ class ExperimentRunner:
             misses=run.stats.misses,
             reorder_seconds=timed.seconds,
         )
-        self._write_json(cache_key, record.to_json())
+        self.write_memo(cache_key, record.to_json())
         return record
 
     def _apply_insular_mask(
@@ -343,24 +324,27 @@ class ExperimentRunner:
         mask: str = "none",
     ) -> str:
         """Memo file of one simulated cell (shared with repro.parallel)."""
-        return self._cache_path(
+        return self.memo_path(
             "run",
             f"{self.platform.name}|{self.schedule}|{matrix}|{technique}|{kernel}|{policy}|{mask}",
         )
 
     def metrics_cache_path(self, matrix: str) -> str:
         """Memo file of one matrix's structure metrics."""
-        return self._cache_path("metrics", matrix)
+        return self.memo_path("metrics", matrix)
 
-    def _cache_path(self, kind: str, key: str) -> str:
+    def memo_path(self, kind: str, key: str) -> str:
+        """``<root>/<kind>/<kind>-<key>-<digest>.json`` for one memo entry."""
         digest = hashlib.sha1(f"{kind}|{key}".encode("utf-8")).hexdigest()[:20]
         safe = key.replace("|", "_").replace("/", "-")[:80]
-        return os.path.join(self.cache_dir, f"{kind}-{safe}-{digest}.json")
+        return os.path.join(
+            kind_dir(self.cache_dir, kind), f"{kind}-{safe}-{digest}.json"
+        )
 
-    def _write_json(self, path: str, payload: Dict[str, object]) -> None:
+    def write_memo(self, path: str, payload: Dict[str, object]) -> None:
         """Persist one memo payload in a versioned checksum envelope.
 
-        Reads verify the envelope (:meth:`_load_payload`); damaged or
+        Reads verify the envelope (:meth:`load_memo`); damaged or
         legacy files are quarantined and recomputed instead of crashing
         the sweep — see :mod:`repro.resilience.integrity`.  The write
         itself goes through :func:`atomic_write_document`, whose
@@ -375,7 +359,7 @@ class ExperimentRunner:
             atomic_write_document(path, document)
         fault_point("memo.write", path=path)
 
-    def _load_payload(
+    def load_memo(
         self, path: str, kind: str = "", **tags: object
     ) -> Optional[Dict[str, object]]:
         """Verified memo payload, or ``None`` when absent or damaged.
@@ -391,17 +375,17 @@ class ExperimentRunner:
             return load_or_quarantine(path, cache_dir=self.cache_dir)
 
     def _reorder_time_path(self, matrix: str, technique: str) -> str:
-        return self._cache_path("reorder-time", f"{matrix}|{technique}")
+        return self.memo_path("reorder-time", f"{matrix}|{technique}")
 
     def _store_reorder_time(self, matrix: str, technique: str, seconds: float) -> None:
-        self._write_json(
+        self.write_memo(
             self._reorder_time_path(matrix, technique),
             {"matrix": matrix, "technique": technique, "seconds": seconds},
         )
 
     def _load_reorder_time(self, matrix: str, technique: str) -> Optional[float]:
         path = self._reorder_time_path(matrix, technique)
-        payload = self._load_payload(path, kind="reorder-time", matrix=matrix)
+        payload = self.load_memo(path, kind="reorder-time", matrix=matrix)
         if payload is None:
             return None
         try:
@@ -409,7 +393,5 @@ class ExperimentRunner:
         except (KeyError, TypeError, ValueError):
             # Checksum-valid but structurally foreign (e.g. written by
             # a future payload layout): quarantine and re-measure.
-            from repro.resilience.integrity import quarantine_file
-
             quarantine_file(path, cache_dir=self.cache_dir, reason="bad payload shape")
             return None

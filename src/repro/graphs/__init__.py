@@ -16,7 +16,6 @@ from repro.graphs.corpus import (
     selection_report,
 )
 from repro.graphs.matrixcache import (
-    MIN_CACHE_SCALE,
     build_rmat_cache,
     cached_rmat_graph,
     load_cached_graph,
@@ -34,7 +33,6 @@ from repro.graphs.io import (
 __all__ = [
     "CorpusEntry",
     "Graph",
-    "MIN_CACHE_SCALE",
     "MtxHeader",
     "build_rmat_cache",
     "cached_rmat_graph",

@@ -1,11 +1,11 @@
 """Checksummed disk cache for large generated matrices.
 
-R-MAT matrices at ``scale >= MIN_CACHE_SCALE`` take long enough to
-generate and symmetrize that rebuilding them per run dominates every
-scale benchmark.  The first build persists both views as memmap CSR
-directories under the shared experiment cache::
+Rebuilding a large R-MAT matrix and its symmetrized view per run
+dominates every scale benchmark.  The first build persists both views
+as memmap CSR directories, one entry of the ``matrices`` kind of the
+one on-disk store (:mod:`repro.store`)::
 
-    <cache>/matrices/rmat-s{scale}-ef{edge_factor}-seed{seed}/
+    <root>/matrices/rmat-s{scale}-ef{edge_factor}-seed{seed}/
       graph.json     # integrity-enveloped parameters + shape record
       adjacency/     # directed adjacency (csr-memmap directory)
       undirected/    # symmetrized view (what detection consumes)
@@ -15,13 +15,14 @@ Loads memmap both views and pre-seed ``Graph._undirected_cache``, so
 never materializes nnz-sized arrays in RAM.  Every layer is
 checksummed: ``graph.json`` carries the memo-cache envelope, each
 memmap directory carries its own enveloped ``meta.json`` with
-per-array byte lengths and sha256 digests.  A damaged entry is moved
-to ``<cache>/quarantine/`` — never deleted — and rebuilt, the same
-policy the experiment memo cache applies to torn memo files.
+per-array byte lengths and sha256 digests.  A damaged entry directory
+is moved to ``<root>/quarantine/`` — never deleted — and rebuilt, the
+same policy the memo applies to torn entries; ``repro doctor`` scans
+both JSON layers.
 
-Below the scale threshold caching buys nothing, so the graph is built
-in RAM exactly as before; results are identical either way because the
-memmap build reproduces ``coo_to_csr`` + ``to_undirected`` ordering
+Callers that want the graph in RAM build it with
+``Graph.from_coo(rmat(...))``; results are identical either way because
+the memmap build reproduces ``coo_to_csr`` + ``to_undirected`` ordering
 bit-for-bit (unit-weight inputs; see
 :func:`repro.sparse.memmap.symmetrize_to_memmap`).
 """
@@ -41,20 +42,17 @@ from repro.obs import get_obs, logger
 from repro.resilience.integrity import (
     atomic_write_document,
     load_verified,
-    quarantine_path,
+    quarantine_file,
     unique_tmp_path,
     wrap_payload,
 )
 from repro.sparse.coo import COOMatrix
 from repro.sparse.memmap import csr_from_coo_chunks, load_csr_memmap, symmetrize_to_memmap
-
-#: Below this R-MAT scale, generation is cheap enough to stay in RAM.
-MIN_CACHE_SCALE = 14
+from repro.store import kind_dir, resolve_cache_dir
 
 #: Bump when the entry layout changes; stale entries rebuild.
 MATRIX_CACHE_VERSION = 1
 
-MATRICES_DIRNAME = "matrices"
 GRAPH_META_FILENAME = "graph.json"
 ADJACENCY_DIRNAME = "adjacency"
 UNDIRECTED_DIRNAME = "undirected"
@@ -68,34 +66,22 @@ def rmat_cache_key(scale: int, edge_factor: int, seed: int) -> str:
     return f"rmat-s{scale}-ef{edge_factor}-seed{seed}"
 
 
-def matrix_cache_root(cache_dir: Optional[str] = None) -> str:
-    """``<cache>/matrices`` under the shared experiment cache dir."""
-    # Deferred import: repro.experiments' package init reaches back into
-    # repro.graphs via the figure modules.
-    from repro.experiments.runner import resolve_cache_dir
-
-    return os.path.join(resolve_cache_dir(cache_dir), MATRICES_DIRNAME)
-
-
 def cached_rmat_graph(
     scale: int,
     edge_factor: int,
     seed: int = 0,
     cache_dir: Optional[str] = None,
-    min_cache_scale: int = MIN_CACHE_SCALE,
 ) -> Graph:
-    """R-MAT graph, memmap-backed from the disk cache when large.
+    """Memmap-backed R-MAT graph from the disk cache.
 
-    Small instances (``scale < min_cache_scale``) build in RAM as
-    always.  Large instances load from the cache, building it on the
-    first miss; the returned graph's adjacency *and* pre-seeded
-    undirected view are then memmaps, so downstream passes stream.
+    Loads the entry, building it on the first miss; the returned
+    graph's adjacency *and* pre-seeded undirected view are memmaps, so
+    downstream passes stream.
     """
-    if scale < min_cache_scale:
-        return Graph.from_coo(rmat(scale, edge_factor, seed=seed), directed=True)
     expect = _expected_payload(scale, edge_factor, seed)
+    root = resolve_cache_dir(cache_dir)
     directory = os.path.join(
-        matrix_cache_root(cache_dir), rmat_cache_key(scale, edge_factor, seed)
+        kind_dir(root, "matrices"), rmat_cache_key(scale, edge_factor, seed)
     )
     obs = get_obs()
     try:
@@ -106,7 +92,7 @@ def cached_rmat_graph(
         obs.counter("matrixcache.miss")
     except CacheIntegrityError as exc:
         logger.warning("matrix cache entry damaged, rebuilding: %s", exc)
-        _quarantine_entry(directory, cache_dir)
+        quarantine_file(directory, cache_dir=root, reason=str(exc))
         obs.counter("matrixcache.quarantined")
     build_rmat_cache(directory, scale, edge_factor, seed)
     return load_cached_graph(directory, expect=expect)
@@ -119,22 +105,6 @@ def _expected_payload(scale: int, edge_factor: int, seed: int) -> Dict[str, obje
         "edge_factor": int(edge_factor),
         "seed": int(seed),
     }
-
-
-def _quarantine_entry(directory: str, cache_dir: Optional[str]) -> Optional[str]:
-    """Move a damaged entry directory under ``<cache>/quarantine/``."""
-    from repro.experiments.runner import resolve_cache_dir  # deferred, as above
-
-    if not os.path.isdir(directory):
-        return None
-    target_dir = quarantine_path(resolve_cache_dir(cache_dir))
-    os.makedirs(target_dir, exist_ok=True)
-    target = unique_tmp_path(os.path.join(target_dir, os.path.basename(directory)))
-    try:
-        os.replace(directory, target)
-    except OSError:
-        return None  # a concurrent worker quarantined it first
-    return target
 
 
 def _coo_chunks(coo: COOMatrix):

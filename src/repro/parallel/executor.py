@@ -28,10 +28,9 @@ strict mode (the default) any permanent failure raises
 :class:`~repro.errors.SweepFailure`; under ``keep_going`` it is
 recorded in the stats' :class:`~repro.resilience.FailureReport` and the
 sweep completes with partial results.  A retried group replays its
-already-finished cells as memo hits, so progress is never lost.
-Completed cell labels are checkpointed to the optional
-:class:`~repro.resilience.SweepManifest` as they finish, enabling
-``--resume`` after a kill.
+already-finished cells as memo hits, so progress is never lost; for
+the same reason a killed sweep, rerun, executes only the cells whose
+memo entry is missing.
 
 Observability: each worker runs its cell under a private, enabled
 :class:`Instrumentation` and ships its full counter snapshot
@@ -84,7 +83,6 @@ from repro.resilience import (
     CellFailure,
     FailureReport,
     RetryPolicy,
-    SweepManifest,
     cell_deadline,
     fault_point,
     is_transient,
@@ -364,7 +362,6 @@ def execute_cells(
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     keep_going: bool = False,
-    manifest: Optional[SweepManifest] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> ParallelStats:
     """Precompute ``cells`` into the shared memo with ``jobs`` workers.
@@ -380,9 +377,9 @@ def execute_cells(
     retries); a permanent failure raises :class:`SweepFailure` naming
     the cell — or, with ``keep_going=True``, is recorded in
     ``stats.failures`` while the rest of the sweep completes.  Either
-    way no cell is ever silently dropped.  ``manifest`` checkpoints
-    completed cell labels for ``--resume``; ``sleep`` is injectable so
-    tests assert backoff without waiting.
+    way no cell is ever silently dropped.  Cells whose memo entry
+    already exists are skipped.  ``sleep`` is injectable so tests
+    assert backoff without waiting.
     """
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
@@ -401,20 +398,10 @@ def execute_cells(
         )
         return stats
 
-    pending = []
-    already_done: List[str] = []
-    for cell in cells:
-        label = cell.label()
-        if manifest is not None and label in manifest.completed_cells:
-            stats.skipped += 1
-            obs.counter("resilience.cells_resumed")
-        elif os.path.exists(_cell_memo_path(runner, cell)):
-            stats.skipped += 1
-            already_done.append(label)
-        else:
-            pending.append(cell)
-    if manifest is not None and already_done:
-        manifest.mark_cells(already_done)
+    pending = [
+        cell for cell in cells if not os.path.exists(_cell_memo_path(runner, cell))
+    ]
+    stats.skipped = len(cells) - len(pending)
     obs.counter("parallel.cells.planned", stats.planned)
     obs.counter("parallel.cells.skipped", stats.skipped)
     if not pending:
@@ -440,8 +427,6 @@ def execute_cells(
                         break
                     continue
                 stats.executed += 1
-                if manifest is not None:
-                    manifest.mark_cell(cell.label())
                 if progress is not None:
                     progress.update(cell.label())
         obs.merge_counter_snapshot(instr.counters.snapshot())
@@ -449,7 +434,7 @@ def execute_cells(
             {n: (t.calls, t.seconds) for n, t in instr.span_totals().items()}
         )
         obs.counter("parallel.cells.executed", stats.executed)
-        _finish(stats, keep_going, manifest)
+        _finish(stats, keep_going)
         return stats
 
     _execute_pool(
@@ -461,23 +446,18 @@ def execute_cells(
         retry,
         cell_timeout,
         keep_going,
-        manifest,
         sleep,
         stats,
     )
     obs.counter("parallel.cells.executed", stats.executed)
-    _finish(stats, keep_going, manifest)
+    _finish(stats, keep_going)
     return stats
 
 
-def _finish(
-    stats: ParallelStats, keep_going: bool, manifest: Optional[SweepManifest]
-) -> None:
-    """Common sweep epilogue: persist failures, then raise or summarize."""
+def _finish(stats: ParallelStats, keep_going: bool) -> None:
+    """Common sweep epilogue: raise or summarize the failures."""
     if not stats.failures:
         return
-    if manifest is not None:
-        manifest.record_failures(stats.failures)
     if not keep_going:
         first = stats.failures.failures[0]
         raise SweepFailure(
@@ -497,7 +477,6 @@ def _execute_pool(
     retry: RetryPolicy,
     cell_timeout: Optional[float],
     keep_going: bool,
-    manifest: Optional[SweepManifest],
     sleep: Callable[[float], None],
     stats: ParallelStats,
 ) -> None:
@@ -561,8 +540,6 @@ def _execute_pool(
                 fresh = [label for label in done if label not in completed]
                 completed.update(fresh)
                 stats.executed += len(fresh)
-                if manifest is not None:
-                    manifest.mark_cells(fresh)
                 if progress is not None:
                     for label in fresh:
                         progress.update(label)
@@ -665,7 +642,6 @@ def precompute(
     retry: Optional[RetryPolicy] = None,
     cell_timeout: Optional[float] = None,
     keep_going: bool = False,
-    manifest: Optional[SweepManifest] = None,
 ) -> ParallelStats:
     """Plan every driver's cells and execute them with ``jobs`` workers.
 
@@ -682,7 +658,6 @@ def precompute(
         retry=retry,
         cell_timeout=cell_timeout,
         keep_going=keep_going,
-        manifest=manifest,
     )
     logger.info(
         "parallel precompute done: %d executed, %d already memoized, "

@@ -269,11 +269,7 @@ def run_scale_bench(
     with obs.span("bench-scale-setup", scale=scale, edge_factor=edge_factor):
         start = clock()
         if use_memmap:
-            # min_cache_scale=0 forces the memmap cache even below the
-            # usual threshold, so CI can exercise the path at scale 13.
-            graph = cached_rmat_graph(
-                scale, edge_factor, seed=seed, cache_dir=cache_dir, min_cache_scale=0
-            )
+            graph = cached_rmat_graph(scale, edge_factor, seed=seed, cache_dir=cache_dir)
         else:
             graph = Graph.from_coo(rmat(scale, edge_factor, seed=seed), directed=True)
         undirected = graph.to_undirected()

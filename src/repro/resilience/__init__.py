@@ -10,8 +10,9 @@ corrupted memo files and outright kills:
 * **graceful degradation** (:class:`FailureReport`) — under
   ``--keep-going`` failed cells are recorded, not fatal, and the sweep
   ends with a loud summary;
-* **checkpoint/resume** (:class:`SweepManifest`) — completed cells are
-  journaled next to the memo cache so ``--resume`` skips finished work;
+* **rerun skips finished work** — every completed cell is a verified
+  memo entry (:mod:`repro.store`), so a killed sweep rerun executes
+  only the cells whose entry is missing;
 * **cache integrity** (:mod:`repro.resilience.integrity`) — memo files
   carry a schema-version + checksum envelope; damaged files are
   quarantined to ``<cache>/quarantine/`` and recomputed;
@@ -23,7 +24,6 @@ Observability: ``resilience.retries``, ``resilience.quarantined``,
 ``resilience.cells_failed`` (and friends) count every recovery action.
 """
 
-from repro.resilience.checkpoint import MANIFEST_NAME, MANIFEST_VERSION, SweepManifest
 from repro.resilience.failures import CellFailure, FailureReport
 from repro.resilience.faults import (
     ENV_VAR,
@@ -36,14 +36,12 @@ from repro.resilience.faults import (
 )
 from repro.resilience.integrity import (
     SCHEMA_VERSION,
-    CacheScan,
     LegacyCacheEntry,
     load_or_quarantine,
     load_verified,
     payload_checksum,
     quarantine_file,
     quarantine_path,
-    scan_cache,
     unwrap_document,
     wrap_payload,
 )
@@ -57,7 +55,6 @@ from repro.resilience.policy import (
 )
 
 __all__ = [
-    "CacheScan",
     "CellFailure",
     "Deadline",
     "ENV_VAR",
@@ -66,11 +63,8 @@ __all__ = [
     "FaultPlan",
     "FaultRule",
     "LegacyCacheEntry",
-    "MANIFEST_NAME",
-    "MANIFEST_VERSION",
     "RetryPolicy",
     "SCHEMA_VERSION",
-    "SweepManifest",
     "cell_deadline",
     "check_deadline",
     "current_deadline",
@@ -83,7 +77,6 @@ __all__ = [
     "quarantine_file",
     "quarantine_path",
     "reset_faults",
-    "scan_cache",
     "unwrap_document",
     "wrap_payload",
 ]

@@ -2,7 +2,7 @@
 
 Under ``--keep-going`` a sweep records every permanently-failed cell in
 a :class:`FailureReport` instead of aborting; the report renders a loud
-end-of-run summary and serializes to JSON so the sweep manifest can
+end-of-run summary and serializes to JSON so the run ledger can
 persist it.  The invariant the report exists to uphold: **no code path
 silently drops a cell** — a cell either completes or appears here.
 """

@@ -14,10 +14,8 @@ half-written file is detected on read.  :func:`load_or_quarantine` is
 the tolerant read path: a damaged (or legacy unversioned) file is moved
 to ``<cache>/quarantine/`` — never deleted, so it stays available for
 debugging — the ``resilience.quarantined`` counter ticks, and the
-caller recomputes instead of crashing.
-
-:func:`scan_cache` backs the ``repro doctor`` CLI: a read-only sweep of
-a cache directory classifying every memo file without touching it.
+caller recomputes instead of crashing.  The store-wide scan behind
+``repro doctor`` lives in :mod:`repro.store`.
 """
 
 from __future__ import annotations
@@ -27,8 +25,7 @@ import itertools
 import json
 import os
 import threading
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from repro.errors import CacheIntegrityError
 from repro.obs import get_obs, logger
@@ -119,10 +116,10 @@ def quarantine_path(cache_dir: str) -> str:
 def quarantine_file(
     path: str, cache_dir: Optional[str] = None, reason: str = ""
 ) -> Optional[str]:
-    """Move a damaged memo file into ``<cache>/quarantine/``.
+    """Move a damaged file or entry directory into ``<cache>/quarantine/``.
 
     Returns the quarantined path (suffixed on name collisions), or
-    ``None`` if the file vanished first.  Never raises on a missing
+    ``None`` if the source vanished first.  Never raises on a missing
     source — a concurrent worker may have quarantined it already.
     """
     directory = cache_dir if cache_dir is not None else os.path.dirname(path)
@@ -143,7 +140,7 @@ def quarantine_file(
         return None
     get_obs().counter("resilience.quarantined")
     logger.warning(
-        "quarantined damaged cache file %s -> %s%s",
+        "quarantined damaged cache entry %s -> %s%s",
         path,
         destination,
         f" ({reason})" if reason else "",
@@ -205,49 +202,3 @@ def atomic_write_document(path: str, document: Dict[str, object]) -> None:
         except OSError:
             pass
         raise
-
-
-# -- doctor support -----------------------------------------------------
-
-OK = "ok"
-LEGACY = "legacy"
-DAMAGED = "damaged"
-
-
-@dataclass
-class CacheScan:
-    """Read-only integrity classification of one cache directory."""
-
-    cache_dir: str
-    ok: List[str] = field(default_factory=list)
-    legacy: List[str] = field(default_factory=list)
-    damaged: List[Tuple[str, str]] = field(default_factory=list)
-    quarantined: List[str] = field(default_factory=list)
-
-    @property
-    def healthy(self) -> bool:
-        """True when every in-cache memo file verifies."""
-        return not self.legacy and not self.damaged
-
-
-def scan_cache(cache_dir: str) -> CacheScan:
-    """Classify every ``*.json`` memo file under ``cache_dir``."""
-    scan = CacheScan(cache_dir=cache_dir)
-    if not os.path.isdir(cache_dir):
-        return scan
-    for name in sorted(os.listdir(cache_dir)):
-        path = os.path.join(cache_dir, name)
-        if not (name.endswith(".json") and os.path.isfile(path)):
-            continue
-        try:
-            load_verified(path)
-        except LegacyCacheEntry:
-            scan.legacy.append(name)
-        except CacheIntegrityError as exc:
-            scan.damaged.append((name, str(exc)))
-        else:
-            scan.ok.append(name)
-    qdir = quarantine_path(cache_dir)
-    if os.path.isdir(qdir):
-        scan.quarantined = sorted(os.listdir(qdir))
-    return scan

@@ -307,12 +307,10 @@ def spawn_server(
         "0",
         "--port-file",
         port_file,
+        *(("--store-dir", store_dir) if store_dir is not None else ()),
         *extra_args,
     ]
-    env = dict(os.environ)
-    if store_dir is not None:
-        env["REPRO_SERVE_STORE"] = store_dir
-    process = subprocess.Popen(command, env=env)
+    process = subprocess.Popen(command)
     deadline = time.monotonic() + timeout
     try:
         while not os.path.exists(port_file):

@@ -84,6 +84,7 @@ from repro.serve.store import PermutationStore, eval_key, perm_key, structure_di
 from repro.sparse.convert import coo_to_csr
 from repro.sparse.ops import is_symmetric
 from repro.sparse.permute import permute_symmetric
+from repro.store import stats as store_stats
 from repro.trace.kernelspec import KernelSpec
 
 #: Response/entry payload schema; bump on incompatible layout changes.
@@ -754,7 +755,7 @@ class ReorderService:
     def stats(self) -> Dict[str, object]:
         """Store/coalescing/overload stats for the ``/stats`` endpoint."""
         return {
-            "store": self.store.stats(),
+            "store": store_stats(self.store.root),
             "inflight": self._flight.inflight(),
             "admission": {
                 "max_inflight": self.admission.max_inflight,

@@ -4,7 +4,8 @@ Keys are derived from the *structure* of the CSR matrix — the byte
 content of ``row_offsets`` and ``col_indices`` plus the shape — never
 from a user-supplied name, so two uploads of the same matrix (or an
 upload that duplicates a corpus entry) share one store entry.  Two
-entry kinds live under one root:
+entry kinds live in the one on-disk store (:mod:`repro.store`), whose
+root is the memo root unless the server is given ``--store-dir``:
 
 * ``perm``  — key = SHA-256(structure digest | technique | impl):
   the permutation and its measured pre-processing time;
@@ -15,61 +16,36 @@ entry kinds live under one root:
 
 Every entry is wrapped in the PR 4 versioned checksum envelope
 (:mod:`repro.resilience.integrity`), so truncated or bit-flipped
-entries are detected on read, quarantined under ``<store>/quarantine/``
+entries are detected on read, quarantined under ``<root>/quarantine/``
 and recomputed — a damaged store degrades to recomputation, never to a
 wrong answer.  Writes go through :func:`atomic_write_document`, whose
 per-write unique temp names make concurrent same-key writers safe.
-
-Layout::
-
-    <store>/
-      perm/ab/abcdef....json
-      eval/4f/4f19c2....json
-      quarantine/            <- damaged entries, moved aside on read
+``repro doctor`` scans and ``/stats`` sizes these entries together with
+every other kind (:func:`repro.store.scan`, :func:`repro.store.stats`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
-from repro.errors import CacheIntegrityError
 from repro.obs import get_obs
 from repro.resilience.faults import fault_point
 from repro.resilience.integrity import (
-    CacheScan,
-    LegacyCacheEntry,
     atomic_write_document,
     load_or_quarantine,
-    load_verified,
-    quarantine_file,
     wrap_payload,
 )
+from repro.store import kind_dir, resolve_cache_dir
 
 #: Store layout version: bump when the key derivation or entry payload
 #: layout changes incompatibly (old entries then simply miss).
 STORE_VERSION = 1
 
 KINDS = ("perm", "eval")
-
-#: Environment override for the store root (mirrors REPRO_CACHE_DIR).
-STORE_DIR_ENV = "REPRO_SERVE_STORE"
-
-
-def resolve_store_dir(store_dir: Optional[str] = None) -> str:
-    """Explicit argument, else ``$REPRO_SERVE_STORE``, else a
-    ``serve-store`` subdirectory of the memo cache dir."""
-    if store_dir is not None:
-        return store_dir
-    env = os.environ.get(STORE_DIR_ENV)
-    if env:
-        return env
-    from repro.experiments.runner import resolve_cache_dir
-
-    return os.path.join(resolve_cache_dir(), "serve-store")
 
 
 def structure_digest(csr) -> str:
@@ -119,12 +95,12 @@ class PermutationStore:
     """
 
     def __init__(self, root: Optional[str] = None) -> None:
-        self.root = resolve_store_dir(root)
+        self.root = resolve_cache_dir(root)
 
     def path(self, kind: str, key: str) -> str:
         if kind not in KINDS:
             raise ValueError(f"store kind must be one of {KINDS}, got {kind!r}")
-        return os.path.join(self.root, kind, key[:2], f"{key}.json")
+        return os.path.join(kind_dir(self.root, kind), f"{key}.json")
 
     def get(self, kind: str, key: str) -> Optional[Dict[str, object]]:
         """Verified payload for ``key``, or ``None`` (miss / quarantined)."""
@@ -154,67 +130,3 @@ class PermutationStore:
         fault_point("serve.store.put", label=f"{kind}:{key[:12]}", path=path)
         get_obs().counter(f"serve.store.{kind}.write")
         return path
-
-    def scan(self, quarantine: bool = False) -> CacheScan:
-        """Integrity-classify every entry (``repro doctor --store``).
-
-        Unlike the memo cache's flat :func:`scan_cache`, entries live in
-        a nested ``<kind>/<key[:2]>/`` layout, so this walks recursively
-        and reports store-relative names (``eval/4f/4f19c2….json``).
-        With ``quarantine=True``, damaged and legacy entries are moved
-        to ``<store>/quarantine/`` so they can never serve a bad hit —
-        the server runs exactly this scrub at startup.
-        """
-        scan = CacheScan(cache_dir=self.root)
-        for kind in KINDS:
-            kind_root = os.path.join(self.root, kind)
-            for dirpath, _dirnames, filenames in os.walk(kind_root):
-                for name in sorted(filenames):
-                    if not name.endswith(".json"):
-                        continue
-                    path = os.path.join(dirpath, name)
-                    rel = os.path.relpath(path, self.root)
-                    try:
-                        load_verified(path)
-                    except LegacyCacheEntry as exc:
-                        scan.legacy.append(rel)
-                        if quarantine:
-                            quarantine_file(
-                                path, cache_dir=self.root, reason=str(exc)
-                            )
-                    except CacheIntegrityError as exc:
-                        scan.damaged.append((rel, str(exc)))
-                        if quarantine:
-                            quarantine_file(
-                                path, cache_dir=self.root, reason=str(exc)
-                            )
-                    else:
-                        scan.ok.append(rel)
-        qdir = os.path.join(self.root, "quarantine")
-        if os.path.isdir(qdir):
-            scan.quarantined = sorted(os.listdir(qdir))
-        return scan
-
-    def stats(self) -> Dict[str, object]:
-        """Entry counts and byte totals per kind (for ``/stats``)."""
-        out: Dict[str, object] = {"root": self.root}
-        for kind in KINDS:
-            count, size = self._walk(os.path.join(self.root, kind))
-            out[kind] = {"entries": count, "bytes": size}
-        qcount, qsize = self._walk(os.path.join(self.root, "quarantine"))
-        out["quarantine"] = {"entries": qcount, "bytes": qsize}
-        return out
-
-    @staticmethod
-    def _walk(root: str) -> Tuple[int, int]:
-        count = 0
-        size = 0
-        for dirpath, _dirnames, filenames in os.walk(root):
-            for name in filenames:
-                if name.endswith(".json"):
-                    count += 1
-                    try:
-                        size += os.path.getsize(os.path.join(dirpath, name))
-                    except OSError:
-                        pass
-        return count, size

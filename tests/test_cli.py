@@ -1,11 +1,21 @@
 """CLI smoke tests (everything runs on the test profile)."""
 
 import json
+import os
 
 import pytest
 
 import repro
 from repro.cli import main
+
+
+def stats_row(out, kind):
+    """``[entries, bytes]`` of one kind row of the cache-stats table."""
+    for line in out.splitlines():
+        fields = line.split()
+        if fields[:1] == [kind]:
+            return [int(fields[1]), int(fields[2])]
+    return None
 
 
 class TestCli:
@@ -138,15 +148,47 @@ class TestObservabilityCli:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(memo))
         assert main(["--quiet", "metrics", "test-mesh", "--profile", "test"]) == 0
         # Damage a memo file, then let doctor quarantine it.
-        victim = next(f for f in memo.iterdir() if f.name.startswith("metrics-"))
+        victim = next((memo / "metrics").iterdir())
         victim.write_text("{corrupt")
         assert main(["doctor", "--quarantine"]) == 1
         capsys.readouterr()
         assert main(["cache-stats"]) == 0
         out = capsys.readouterr().out
-        assert "quarantine: 1 file(s)" in out
+        assert "quarantine: 1 entries" in out
         assert "bytes" in out
         assert "newest:" in out and victim.name.split(".json")[0] in out
+
+    def test_cache_stats_counts_fig9_entries_under_fig9(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.experiments import fig9
+        from repro.experiments.runner import ExperimentRunner
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
+        fig9.run(profile="test", runner=ExperimentRunner("test"), techniques=("rabbit",))
+        capsys.readouterr()
+        assert main(["cache-stats"]) == 0
+        out = capsys.readouterr().out
+        assert stats_row(out, "fig9")[0] == len(fig9.SWEEP_SIZES["test"])
+        assert stats_row(out, "other") is None
+
+    def test_cache_stats_counts_quarantined_matrix_entry(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.graphs.matrixcache import cached_rmat_graph, rmat_cache_key
+
+        memo = tmp_path / "memo"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(memo))
+        cached_rmat_graph(6, 4, seed=1)
+        key = rmat_cache_key(6, 4, 1)
+        (memo / "matrices" / key / "graph.json").write_text("{corrupt")
+        cached_rmat_graph(6, 4, seed=1)  # the read quarantines the entry, rebuilds
+        capsys.readouterr()
+        assert main(["cache-stats"]) == 0
+        out = capsys.readouterr().out
+        assert stats_row(out, "matrices")[0] == 1
+        assert "quarantine: 1 entries" in out
+        assert f"newest: {key}," in out
 
     def test_span_events_carry_v2_schema_fields(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
@@ -186,7 +228,7 @@ class TestParallelCli:
         ) == 0
         out = capsys.readouterr().out
         assert "fig3" in out
-        run_files = [f for f in memo.iterdir() if f.name.startswith("run-")]
+        run_files = list((memo / "run").iterdir())
         assert len(run_files) == 6  # one rabbit spmv-csr cell per test matrix
 
     def test_experiment_jobs_default_is_sequential(self, tmp_path, monkeypatch):
@@ -223,12 +265,12 @@ class TestDoctorCli:
     ):
         memo = tmp_path / "memo"
         self.write_cache(memo, monkeypatch)
-        victim = next(f for f in memo.iterdir() if f.name.startswith("metrics-"))
+        victim = next((memo / "metrics").iterdir())
         victim.write_text("{ truncated", encoding="utf-8")
         capsys.readouterr()
         assert main(["doctor"]) == 1
         captured = capsys.readouterr()
-        assert f"DAMAGED {victim.name}" in captured.out
+        assert f"DAMAGED metrics/{victim.name}" in captured.out
         assert "damaged" in captured.err
 
     def test_quarantine_flag_moves_damaged_files(
@@ -236,7 +278,7 @@ class TestDoctorCli:
     ):
         memo = tmp_path / "memo"
         self.write_cache(memo, monkeypatch)
-        victim = next(f for f in memo.iterdir() if f.name.startswith("metrics-"))
+        victim = next((memo / "metrics").iterdir())
         victim.write_text("{ truncated", encoding="utf-8")
         assert main(["doctor", "--quarantine"]) == 1
         assert not victim.exists()
@@ -256,25 +298,92 @@ class TestDoctorCli:
         store = PermutationStore(store_dir)
         store.put("perm", perm_key("d0", "rcm", "auto"), {"permutation": [0]})
         victim = store.put("perm", perm_key("d1", "rcm", "auto"), {"permutation": [1]})
-        assert main(["doctor", "--store", "--cache-dir", store_dir]) == 0
-        assert "store integrity: OK" in capsys.readouterr().out
+        assert main(["doctor", "--cache-dir", store_dir]) == 0
+        assert "cache integrity: OK" in capsys.readouterr().out
 
         with open(victim, "r+b") as handle:
             handle.truncate(8)
-        assert main(["doctor", "--store", "--cache-dir", store_dir]) == 1
+        assert main(["doctor", "--cache-dir", store_dir]) == 1
         captured = capsys.readouterr()
         assert "DAMAGED perm/" in captured.out
         assert "damaged" in captured.err
 
-        assert main(
-            ["doctor", "--store", "--quarantine", "--cache-dir", store_dir]
-        ) == 1
-        assert "quarantined 1 entries" in capsys.readouterr().out
+        assert main(["doctor", "--quarantine", "--cache-dir", store_dir]) == 1
+        assert "quarantined 1 files" in capsys.readouterr().out
         capsys.readouterr()
-        assert main(["doctor", "--store", "--cache-dir", store_dir]) == 0
+        assert main(["doctor", "--cache-dir", store_dir]) == 0
         out = capsys.readouterr().out
-        assert "store integrity: OK" in out
+        assert "cache integrity: OK" in out
         assert "QUARANTINED" in out
+
+
+class TestDoctorEveryKind:
+    """One damaged entry of every kind under one root: doctor finds each,
+    ``--quarantine`` moves each aside, and the next read recomputes."""
+
+    def populate(self, root):
+        from repro.experiments import fig9
+        from repro.experiments.runner import ExperimentRunner
+        from repro.graphs.matrixcache import cached_rmat_graph
+        from repro.serve.service import ReorderService, ServeConfig
+
+        runner = ExperimentRunner("test", cache_dir=root)
+        runner.run("test-mesh", "degsort")
+        runner.matrix_metrics("test-mesh")
+        fig9.run(profile="test", runner=runner, techniques=("rabbit",))
+        ReorderService(ServeConfig(profile="test", store_dir=root)).handle(
+            {"matrix": "test-comm", "technique": "degsort"}
+        )
+        cached_rmat_graph(6, 4, seed=1, cache_dir=root)
+        cached_rmat_graph(6, 4, seed=2, cache_dir=root)
+
+    def victims(self, root):
+        """One file per kind, root-relative; the two matrix entries lose
+        their ``graph.json`` and a memmap ``meta.json`` respectively."""
+        picked = [
+            os.path.join(kind, sorted(os.listdir(os.path.join(root, kind)))[0])
+            for kind in ("run", "metrics", "reorder-time", "fig9", "perm", "eval")
+        ]
+        picked.append(os.path.join("matrices", "rmat-s6-ef4-seed1", "graph.json"))
+        picked.append(
+            os.path.join("matrices", "rmat-s6-ef4-seed2", "adjacency", "meta.json")
+        )
+        return picked
+
+    def test_damage_to_every_kind_found_quarantined_and_recomputed(
+        self, tmp_path, capsys
+    ):
+        from repro.resilience import load_verified
+
+        root = str(tmp_path / "store")
+        self.populate(root)
+        victims = self.victims(root)
+        for rel in victims:
+            path = os.path.join(root, rel)
+            with open(path, "r+b") as handle:
+                handle.truncate(os.path.getsize(path) // 2)
+        capsys.readouterr()
+
+        assert main(["doctor", "--cache-dir", root]) == 1
+        out = capsys.readouterr().out
+        for rel in victims:
+            assert f"DAMAGED {rel}:" in out
+
+        assert main(["doctor", "--quarantine", "--cache-dir", root]) == 1
+        capsys.readouterr()
+        quarantined = set(os.listdir(os.path.join(root, "quarantine")))
+        for rel in victims:
+            entry = os.path.join(*rel.split(os.sep)[:2])
+            assert not os.path.exists(os.path.join(root, entry))
+            assert os.path.basename(entry) in quarantined
+        assert main(["doctor", "--cache-dir", root]) == 0
+        capsys.readouterr()
+
+        self.populate(root)
+        for rel in victims:
+            assert load_verified(os.path.join(root, rel))
+        assert main(["doctor", "--cache-dir", root]) == 0
+        assert "cache integrity: OK" in capsys.readouterr().out
 
 
 class TestServeCli:
@@ -307,7 +416,7 @@ class TestResilienceCli:
         with pytest.raises(SystemExit):
             main(["experiment", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--retries", "--cell-timeout", "--keep-going", "--resume"):
+        for flag in ("--retries", "--cell-timeout", "--keep-going"):
             assert flag in out
 
     def test_experiment_with_resilience_flags(self, tmp_path, capsys, monkeypatch):
@@ -319,22 +428,7 @@ class TestResilienceCli:
             ]
         ) == 0
         assert "fig3" in capsys.readouterr().out
-        manifest = tmp_path / "memo" / "sweep-manifest.json"
-        assert manifest.exists()
-
-    def test_resume_reuses_manifest(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
-        assert main(
-            ["--quiet", "experiment", "fig3", "--profile", "test", "--jobs", "2"]
-        ) == 0
-        capsys.readouterr()
-        assert main(
-            [
-                "--quiet", "experiment", "fig3", "--profile", "test",
-                "--jobs", "2", "--resume",
-            ]
-        ) == 0
-        assert "fig3" in capsys.readouterr().out
+        assert len(list((tmp_path / "memo" / "run").iterdir())) == 6
 
 
 class TestScaleBenchCli:

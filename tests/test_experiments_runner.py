@@ -6,14 +6,9 @@ import os
 import pytest
 
 from repro.errors import ValidationError
-from repro.experiments.runner import (
-    DEFAULT_CACHE_DIR,
-    ExperimentRunner,
-    MatrixMetrics,
-    RunRecord,
-    resolve_cache_dir,
-)
+from repro.experiments.runner import ExperimentRunner, MatrixMetrics, RunRecord
 from repro.obs import Instrumentation, using
+from repro.store import DEFAULT_CACHE_DIR, resolve_cache_dir
 
 
 @pytest.fixture
@@ -167,12 +162,12 @@ class TestWriteJson:
         os.makedirs(runner.cache_dir, exist_ok=True)
         path = os.path.join(runner.cache_dir, "broken.json")
         with pytest.raises(TypeError):
-            runner._write_json(path, {"bad": object()})
+            runner.write_memo(path, {"bad": object()})
         assert os.listdir(runner.cache_dir) == []
 
     def test_successful_write_leaves_only_target(self, runner):
         path = os.path.join(runner.cache_dir, "ok.json")
-        runner._write_json(path, {"fine": 1})
+        runner.write_memo(path, {"fine": 1})
         assert os.listdir(runner.cache_dir) == ["ok.json"]
 
 
@@ -236,8 +231,9 @@ class TestTolerantCacheReads:
 
     def test_invalid_json_cache_entry_recomputed(self, runner):
         record = runner.run("test-mesh", "original")
-        names = [n for n in os.listdir(runner.cache_dir) if n.startswith("run-")]
-        with open(os.path.join(runner.cache_dir, names[0]), "w") as handle:
+        run_dir = os.path.join(runner.cache_dir, "run")
+        names = [n for n in os.listdir(run_dir) if n.startswith("run-")]
+        with open(os.path.join(run_dir, names[0]), "w") as handle:
             handle.write("{ not json")
         fresh = ExperimentRunner(profile="test", cache_dir=runner.cache_dir)
         redone = fresh.run("test-mesh", "original")

@@ -251,16 +251,3 @@ class TestRunsCli:
     def test_runs_show_requires_id(self, tmp_path, capsys):
         assert main(["--runs-dir", str(tmp_path), "runs", "list"]) == 0
         assert main(["--runs-dir", str(tmp_path), "runs", "show"]) == 2
-
-    def test_sweep_manifest_records_run_id(self, tmp_path, monkeypatch):
-        from repro.resilience import SweepManifest
-
-        cache = str(tmp_path / "memo")
-        monkeypatch.setenv("REPRO_CACHE_DIR", cache)
-        runs_dir = str(tmp_path / "ledger")
-        assert main(["--runs-dir", runs_dir, "experiment", "table1",
-                     "--profile", "test"]) == 0
-        run_id = os.listdir(runs_dir)[0]
-        manifest = SweepManifest.load(cache, "test")
-        assert manifest is not None
-        assert run_id in manifest.run_ids

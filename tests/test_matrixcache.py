@@ -13,10 +13,10 @@ from repro.graphs.matrixcache import (
     build_rmat_cache,
     cached_rmat_graph,
     load_cached_graph,
-    matrix_cache_root,
     rmat_cache_key,
 )
 from repro.sparse.memmap import is_memmap_backed
+from repro.store import kind_dir, resolve_cache_dir
 
 PARAMS = dict(scale=8, edge_factor=8, seed=5)
 
@@ -27,18 +27,17 @@ def cache_env(tmp_path, monkeypatch):
     return tmp_path / "cache"
 
 
+def matrix_cache_root():
+    return kind_dir(resolve_cache_dir(), "matrices")
+
+
 def entry_dir():
     return os.path.join(matrix_cache_root(), rmat_cache_key(**PARAMS))
 
 
 class TestCachedRmatGraph:
-    def test_small_scales_stay_in_ram(self, cache_env):
-        graph = cached_rmat_graph(**PARAMS)  # default threshold is 14
-        assert not is_memmap_backed(graph.adjacency)
-        assert not os.path.exists(entry_dir())
-
     def test_cached_graph_matches_in_ram_build(self, cache_env):
-        cached = cached_rmat_graph(**PARAMS, min_cache_scale=0)
+        cached = cached_rmat_graph(**PARAMS)
         assert is_memmap_backed(cached.adjacency)
         reference = Graph.from_coo(rmat(**PARAMS), directed=True)
         assert np.array_equal(
@@ -50,7 +49,7 @@ class TestCachedRmatGraph:
         assert np.array_equal(cached.adjacency.values, reference.adjacency.values)
 
     def test_undirected_view_preseeded_and_exact(self, cache_env):
-        cached = cached_rmat_graph(**PARAMS, min_cache_scale=0)
+        cached = cached_rmat_graph(**PARAMS)
         undirected = cached.to_undirected()
         assert is_memmap_backed(undirected.adjacency)
         assert undirected is cached.to_undirected()  # cached, no rebuild
@@ -65,19 +64,19 @@ class TestCachedRmatGraph:
         assert np.array_equal(undirected.adjacency.values, reference.adjacency.values)
 
     def test_second_load_is_a_hit(self, cache_env):
-        cached_rmat_graph(**PARAMS, min_cache_scale=0)
+        cached_rmat_graph(**PARAMS)
         meta = os.path.join(entry_dir(), GRAPH_META_FILENAME)
         stamp = os.path.getmtime(meta)
-        again = cached_rmat_graph(**PARAMS, min_cache_scale=0)
+        again = cached_rmat_graph(**PARAMS)
         assert os.path.getmtime(meta) == stamp  # not rebuilt
         assert again.n_nodes == 1 << PARAMS["scale"]
 
     def test_damaged_entry_quarantined_and_rebuilt(self, cache_env):
-        first = cached_rmat_graph(**PARAMS, min_cache_scale=0)
+        first = cached_rmat_graph(**PARAMS)
         meta = os.path.join(entry_dir(), GRAPH_META_FILENAME)
         with open(meta, "a") as handle:
             handle.write("tail garbage")
-        rebuilt = cached_rmat_graph(**PARAMS, min_cache_scale=0)
+        rebuilt = cached_rmat_graph(**PARAMS)
         assert np.array_equal(
             first.adjacency.col_indices, rebuilt.adjacency.col_indices
         )
@@ -85,16 +84,16 @@ class TestCachedRmatGraph:
         assert quarantine.is_dir() and any(quarantine.iterdir())
 
     def test_truncated_array_triggers_rebuild(self, cache_env):
-        cached_rmat_graph(**PARAMS, min_cache_scale=0)
+        cached_rmat_graph(**PARAMS)
         victim = os.path.join(entry_dir(), "undirected", "col_indices.bin")
         with open(victim, "r+b") as handle:
             handle.truncate(os.path.getsize(victim) - 8)
-        rebuilt = cached_rmat_graph(**PARAMS, min_cache_scale=0)
+        rebuilt = cached_rmat_graph(**PARAMS)
         assert rebuilt.to_undirected().adjacency.nnz > 0
 
     def test_distinct_parameters_distinct_entries(self, cache_env):
-        cached_rmat_graph(**PARAMS, min_cache_scale=0)
-        cached_rmat_graph(scale=8, edge_factor=8, seed=6, min_cache_scale=0)
+        cached_rmat_graph(**PARAMS)
+        cached_rmat_graph(scale=8, edge_factor=8, seed=6)
         entries = os.listdir(matrix_cache_root())
         assert len(entries) == 2
 

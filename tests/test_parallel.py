@@ -32,10 +32,13 @@ EQUIVALENCE_DRIVERS = {"fig3": fig3.run}
 
 
 def read_cache(cache_dir):
-    """{filename: bytes} of every memo file in the directory."""
+    """{root-relative path: bytes} of every memo file under the root."""
     return {
-        name: open(os.path.join(cache_dir, name), "rb").read()
-        for name in sorted(os.listdir(cache_dir))
+        os.path.relpath(os.path.join(dirpath, name), cache_dir): open(
+            os.path.join(dirpath, name), "rb"
+        ).read()
+        for dirpath, _dirnames, filenames in os.walk(cache_dir)
+        for name in filenames
     }
 
 

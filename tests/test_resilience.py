@@ -1,9 +1,9 @@
-"""repro.resilience: retries, timeouts, integrity, checkpoint, faults.
+"""repro.resilience: retries, timeouts, integrity, faults.
 
 The acceptance-level scenarios live here too:
 
-* kill-resume equivalence — a sweep interrupted by an injected worker
-  kill and resumed produces memo bytes identical to an uninterrupted
+* kill-rerun equivalence — a sweep interrupted by an injected worker
+  kill and rerun produces memo bytes identical to an uninterrupted
   run, re-executing only unfinished cells;
 * corrupt-cache recovery — with a slice of memo files randomly
   truncated/bit-flipped, a sweep completes, quarantines exactly the
@@ -31,15 +31,14 @@ from repro.experiments import fig3
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import FakeClock, Instrumentation, using
 from repro.parallel import RunnerConfig, execute_cells, metrics_cell, plan_cells, run_cell
+from repro.parallel.executor import _cell_memo_path
 from repro.resilience import (
-    CellFailure,
     Deadline,
     FailureReport,
     FaultInjector,
     FaultPlan,
     LegacyCacheEntry,
     RetryPolicy,
-    SweepManifest,
     cell_deadline,
     check_deadline,
     current_deadline,
@@ -50,11 +49,11 @@ from repro.resilience import (
     load_verified,
     quarantine_path,
     reset_faults,
-    scan_cache,
     unwrap_document,
     wrap_payload,
 )
 from repro.resilience.integrity import atomic_write_document, unique_tmp_path
+from repro.store import scan
 
 EQUIVALENCE_DRIVERS = {"fig3": fig3.run}
 
@@ -67,15 +66,20 @@ def _clean_faults():
 
 
 def memo_files(cache_dir):
-    """{filename: bytes} of memo files, excluding manifest/quarantine."""
+    """{root-relative path: bytes} of memo entries, excluding quarantine."""
     out = {}
-    for name in sorted(os.listdir(cache_dir)):
-        path = os.path.join(cache_dir, name)
-        if name == "sweep-manifest.json" or not os.path.isfile(path):
-            continue
-        with open(path, "rb") as handle:
+    for name in scan(cache_dir).ok:
+        with open(os.path.join(cache_dir, name), "rb") as handle:
             out[name] = handle.read()
     return out
+
+
+def finished_cells(cache_dir, cells):
+    """Labels of the cells whose memo entry exists under ``cache_dir``."""
+    runner = RunnerConfig("test", cache_dir).make_runner()
+    return {
+        cell.label() for cell in cells if os.path.exists(_cell_memo_path(runner, cell))
+    }
 
 
 def install_plan(document):
@@ -359,20 +363,20 @@ class TestIntegrityEnvelope:
             json.dump({"old": True}, handle)
         with open(cache / "bad.json", "w", encoding="utf-8") as handle:
             handle.write("{ nope")
-        scan = scan_cache(str(cache))
-        assert scan.ok == ["good.json"]
-        assert scan.legacy == ["legacy.json"]
-        assert [name for name, _ in scan.damaged] == ["bad.json"]
-        assert not scan.healthy
+        result = scan(str(cache))
+        assert result.ok == ["good.json"]
+        assert result.legacy == ["legacy.json"]
+        assert [name for name, _ in result.damaged] == ["bad.json"]
+        assert not result.healthy
 
 
 class TestRunnerCacheRecovery:
     """A damaged memo never crashes the runner — quarantine + recompute."""
 
-    def damage_one(self, cache_dir, prefix):
-        names = [n for n in os.listdir(cache_dir) if n.startswith(prefix)]
-        assert names, f"no {prefix} memo written"
-        path = os.path.join(cache_dir, names[0])
+    def damage_one(self, cache_dir, kind):
+        names = os.listdir(os.path.join(cache_dir, kind))
+        assert names, f"no {kind} memo written"
+        path = os.path.join(cache_dir, kind, names[0])
         with open(path, "r+b") as handle:
             handle.truncate(os.path.getsize(path) // 2)
         return names[0]
@@ -382,7 +386,7 @@ class TestRunnerCacheRecovery:
         runner = ExperimentRunner(profile="test", cache_dir=cache)
         with using(Instrumentation(enabled=True, clock=FakeClock())):
             clean = runner.run("test-mesh", "degsort")
-        damaged_name = self.damage_one(cache, "run-")
+        damaged_name = self.damage_one(cache, "run")
 
         fresh = ExperimentRunner(profile="test", cache_dir=cache)
         with using(Instrumentation(enabled=True, clock=FakeClock())) as instr:
@@ -392,13 +396,13 @@ class TestRunnerCacheRecovery:
         assert instr.counters.get("memo.run.miss") == 1
         assert damaged_name in os.listdir(quarantine_path(cache))
         # The recomputed entry is valid again.
-        assert load_verified(os.path.join(cache, damaged_name))
+        assert load_verified(os.path.join(cache, "run", damaged_name))
 
     def test_truncated_metrics_entry_recomputed(self, tmp_path):
         cache = str(tmp_path / "cache")
         runner = ExperimentRunner(profile="test", cache_dir=cache)
         clean = runner.matrix_metrics("test-mesh")
-        self.damage_one(cache, "metrics-")
+        self.damage_one(cache, "metrics")
         fresh = ExperimentRunner(profile="test", cache_dir=cache)
         assert fresh.matrix_metrics("test-mesh").to_json() == clean.to_json()
 
@@ -406,7 +410,7 @@ class TestRunnerCacheRecovery:
         cache = str(tmp_path / "cache")
         runner = ExperimentRunner(profile="test", cache_dir=cache)
         runner.run("test-mesh", "degsort")
-        self.damage_one(cache, "reorder-time-")
+        self.damage_one(cache, "reorder-time")
         fresh = ExperimentRunner(profile="test", cache_dir=cache)
         assert fresh.reorder_seconds("test-mesh", "degsort") >= 0.0
 
@@ -428,46 +432,6 @@ class TestRunnerCacheRecovery:
             again.matrix_metrics("test-mesh")
         assert instr.counters.get("resilience.quarantined") == 0
         assert instr.counters.get("memo.metrics.hit") == 1
-
-
-class TestSweepManifest:
-    def test_roundtrip(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        manifest = SweepManifest.for_sweep(cache, "test")
-        manifest.mark_cells(["a", "b"])
-        manifest.mark_driver("fig3")
-        loaded = SweepManifest.load(cache, "test")
-        assert loaded.completed_cells == {"a", "b"}
-        assert loaded.completed_drivers == {"fig3"}
-
-    def test_profile_mismatch_ignored(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        SweepManifest.for_sweep(cache, "test").mark_cell("a")
-        assert SweepManifest.load(cache, "bench") is None
-        resumed = SweepManifest.for_sweep(cache, "bench", resume=True)
-        assert resumed.completed_cells == set()
-
-    def test_damaged_manifest_starts_fresh(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        manifest = SweepManifest.for_sweep(cache, "test")
-        manifest.mark_cell("a")
-        with open(manifest.path, "w", encoding="utf-8") as handle:
-            handle.write("{ damaged")
-        resumed = SweepManifest.for_sweep(cache, "test", resume=True)
-        assert resumed.completed_cells == set()
-        assert os.path.isdir(quarantine_path(cache))
-
-    def test_failures_persisted(self, tmp_path):
-        cache = str(tmp_path / "cache")
-        manifest = SweepManifest.for_sweep(cache, "test")
-        report = FailureReport()
-        report.add(CellFailure("m/t/k", "TransientError", "boom", 3, True))
-        manifest.record_failures(report)
-        loaded = SweepManifest.load(cache, "test")
-        assert loaded.failures.labels() == ["m/t/k"]
-        # Resuming clears prior failures so they retry.
-        resumed = SweepManifest.for_sweep(cache, "test", resume=True)
-        assert not resumed.failures
 
 
 class TestFaultPlan:
@@ -637,31 +601,9 @@ class TestExecutorRetries:
         assert stats.executed == 1
         assert instr.counters.get("resilience.retries") == 1
 
-    def test_manifest_checkpoints_completed_cells(self, tmp_path):
-        cache = str(tmp_path / "memo")
-        manifest = SweepManifest.for_sweep(cache, "test")
-        cells = [metrics_cell("test-mesh"), run_cell("test-mesh", "original")]
-        execute_cells(cells, RunnerConfig("test", cache), jobs=1, manifest=manifest)
-        loaded = SweepManifest.load(cache, "test")
-        assert loaded.completed_cells == {c.label() for c in cells}
-
-    def test_resume_skips_manifest_cells_without_stat(self, tmp_path):
-        cache = str(tmp_path / "memo")
-        cells = [metrics_cell("test-mesh")]
-        manifest = SweepManifest.for_sweep(cache, "test")
-        execute_cells(cells, RunnerConfig("test", cache), jobs=1, manifest=manifest)
-        resumed = SweepManifest.for_sweep(cache, "test", resume=True)
-        with using(Instrumentation(enabled=True)) as instr:
-            stats = execute_cells(
-                cells, RunnerConfig("test", cache), jobs=1, manifest=resumed
-            )
-        assert stats.skipped == 1
-        assert stats.executed == 0
-        assert instr.counters.get("resilience.cells_resumed") == 1
-
 
 class TestKillResumeEquivalence:
-    """Acceptance: interrupted + resumed == uninterrupted, byte for byte."""
+    """Acceptance: interrupted + rerun == uninterrupted, byte for byte."""
 
     def test_kill_then_resume_matches_uninterrupted(self, tmp_path, monkeypatch):
         cells = plan_cells(EQUIVALENCE_DRIVERS, "test")
@@ -675,38 +617,38 @@ class TestKillResumeEquivalence:
             {"faults": [{"site": "cell.execute", "action": "kill",
                          "match": "test-kmer", "times": 99}]}
         )
-        manifest = SweepManifest.for_sweep(interrupted, "test")
         with pytest.raises(SweepFailure):
             execute_cells(
                 cells,
                 RunnerConfig("test", interrupted),
                 jobs=1,
                 worker_clock=FakeClock(),
-                manifest=manifest,
             )
-        done_before = set(SweepManifest.load(interrupted, "test").completed_cells)
+        done_before = finished_cells(interrupted, cells)
         assert 0 < len(done_before) < len(cells)
+        written = memo_files(interrupted)
 
-        # Phase 2: faults cleared, resume. Only unfinished cells run.
+        # Phase 2: faults cleared, plain rerun. The memo entries are the
+        # only record of finished work: only unfinished cells run.
         reset_faults()
-        resumed = SweepManifest.for_sweep(interrupted, "test", resume=True)
         with using(Instrumentation(enabled=True)) as instr:
             stats = execute_cells(
                 cells,
                 RunnerConfig("test", interrupted),
                 jobs=1,
                 worker_clock=FakeClock(),
-                manifest=resumed,
             )
         assert stats.skipped == len(done_before)
         assert stats.executed == len(cells) - len(done_before)
-        assert instr.counters.get("resilience.cells_resumed") == len(done_before)
+        assert instr.counters.get("parallel.cells.skipped") == len(done_before)
+        after = memo_files(interrupted)
+        assert all(after[name] == data for name, data in written.items())
 
         # Uninterrupted reference run.
         execute_cells(
             cells, RunnerConfig("test", clean), jobs=1, worker_clock=FakeClock()
         )
-        assert memo_files(interrupted) == memo_files(clean)
+        assert after == memo_files(clean)
 
 
 class TestCorruptCacheRecovery:
@@ -724,7 +666,7 @@ class TestCorruptCacheRecovery:
         # entries are bookkeeping the driver never touches).
         names = sorted(
             n for n in clean_bytes
-            if n.startswith("run-") or n.startswith("metrics-")
+            if n.startswith("run/") or n.startswith("metrics/")
         )
         damaged = rng.sample(names, max(2, len(names) // 10))
         for name in damaged:
@@ -747,7 +689,7 @@ class TestCorruptCacheRecovery:
             )
         assert instr.counters.get("resilience.quarantined") == len(damaged)
         quarantined = os.listdir(quarantine_path(cache))
-        assert sorted(quarantined) == sorted(damaged)
+        assert sorted(quarantined) == sorted(os.path.basename(n) for n in damaged)
 
         # Recompute wrote fresh valid entries; results match a clean run.
         with using(Instrumentation(enabled=True, clock=FakeClock())):
@@ -819,11 +761,12 @@ class TestRunAllResilience:
             "DRIVERS",
             {"boom": exploding_driver, "fig3": fig3.run},
         )
-        reports = run_all_module.run_all(profile="test", keep_going=True)
+        failures = FailureReport()
+        reports = run_all_module.run_all(
+            profile="test", keep_going=True, failures=failures
+        )
         assert [r.experiment for r in reports] == ["fig3"]
-        manifest = SweepManifest.load(str(tmp_path / "memo"), "test")
-        assert manifest.failures.labels() == ["driver:boom"]
-        assert manifest.completed_drivers == {"fig3"}
+        assert failures.labels() == ["driver:boom"]
 
     def test_strict_mode_propagates_driver_failure(self, tmp_path, monkeypatch):
         import repro.experiments.run_all as run_all_module
@@ -834,5 +777,28 @@ class TestRunAllResilience:
             raise RuntimeError("driver blew up")
 
         monkeypatch.setattr(run_all_module, "DRIVERS", {"boom": exploding_driver})
+        failures = FailureReport()
         with pytest.raises(RuntimeError, match="driver blew up"):
-            run_all_module.run_all(profile="test")
+            run_all_module.run_all(profile="test", failures=failures)
+        # Strict mode still hands the failure over for the run ledger.
+        assert failures.labels() == ["driver:boom"]
+
+    def test_cli_records_strict_failure_in_ledger(self, tmp_path, monkeypatch):
+        import repro.cli as cli
+        import repro.experiments.run_all as run_all_module
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "memo"))
+
+        def exploding_driver(profile="test", runner=None):
+            raise RuntimeError("driver blew up")
+
+        monkeypatch.setattr(run_all_module, "DRIVERS", {"boom": exploding_driver})
+        monkeypatch.setattr(cli, "DRIVERS", {"boom": exploding_driver})
+        runs_dir = tmp_path / "ledger"
+        with pytest.raises(RuntimeError, match="driver blew up"):
+            cli.main(["--quiet", "--runs-dir", str(runs_dir), "run-all", "--profile", "test"])
+        (run_id,) = os.listdir(runs_dir)
+        with open(runs_dir / run_id / "manifest.json", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+        assert manifest["status"] == "error"
+        assert [f["label"] for f in manifest["failures"]["failures"]] == ["driver:boom"]

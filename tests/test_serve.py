@@ -45,6 +45,8 @@ from repro.serve.store import (
     perm_key,
     structure_digest,
 )
+from repro.store import scan
+from repro.store import stats as store_stats
 
 
 @pytest.fixture
@@ -130,7 +132,7 @@ def test_store_roundtrip_and_quarantine(tmp_path, instr):
     with open(path, "r+b") as handle:
         handle.truncate(20)
     assert store.get("perm", key) is None
-    assert store.stats()["quarantine"]["entries"] == 1
+    assert store_stats(store.root)["quarantine"]["entries"] == 1
     with pytest.raises(ValueError):
         store.path("nope", key)
 
@@ -947,7 +949,7 @@ def test_corrupt_put_quarantines_on_next_read(service, instr, faults):
     assert service.handle(request).store == "miss"
     assert instr.counters.get("serve.compute.eval") == 2
     assert instr.counters.get("serve.compute.permutation") == 1  # perm survived
-    assert service.store.stats()["quarantine"]["entries"] == 1
+    assert store_stats(service.store.root)["quarantine"]["entries"] == 1
     # The recompute re-persisted a good entry.
     assert service.handle(request).store == "hit"
 
@@ -965,7 +967,7 @@ def test_stats_report_admission_breakers_and_errors(service):
     assert service.recent_errors()[0]["error_id"] == "abc123"
 
 
-# -- store scan (doctor --store) ------------------------------------------
+# -- store scan (repro doctor) -------------------------------------------
 
 
 def test_store_scan_classifies_and_quarantines(tmp_path, instr):
@@ -981,17 +983,17 @@ def test_store_scan_classifies_and_quarantines(tmp_path, instr):
     with open(legacy_path, "w", encoding="utf-8") as handle:
         json.dump({"permutation": [0]}, handle)  # pre-envelope format
 
-    scan = store.scan()
-    assert len(scan.ok) == 1 and scan.ok[0].startswith("perm/")
-    assert len(scan.damaged) == 1 and scan.damaged[0][0].startswith("eval/")
-    assert len(scan.legacy) == 1
-    assert not scan.healthy
+    result = scan(store.root)
+    assert len(result.ok) == 1 and result.ok[0].startswith("perm/")
+    assert len(result.damaged) == 1 and result.damaged[0][0].startswith("eval/")
+    assert len(result.legacy) == 1
+    assert not result.healthy
     assert os.path.exists(victim)  # read-only scan moved nothing
 
-    store.scan(quarantine=True)
+    scan(store.root, quarantine=True)
     assert not os.path.exists(victim)
     assert not os.path.exists(legacy_path)
-    rescanned = store.scan()
+    rescanned = scan(store.root)
     assert rescanned.healthy
     assert len(rescanned.ok) == 1
     assert len(rescanned.quarantined) == 2
@@ -1123,9 +1125,9 @@ def test_leader_failure_propagates_to_followers(endpoint, service, instr, faults
     for _, _, body in results:
         assert json.loads(body)["error_id"]
     # The failed flight persisted nothing.
-    stats = service.store.stats()
-    assert stats["eval"]["entries"] == 0
-    assert stats["perm"]["entries"] == 0
+    usage = store_stats(service.store.root)
+    assert usage["eval"]["entries"] == 0
+    assert usage["perm"]["entries"] == 0
     # The flight table is clean: the same key computes fine afterwards.
     status, headers, _ = _post(
         endpoint, {"matrix": "test-comm", "technique": "hubsort"}
