@@ -9,9 +9,11 @@ run, so the benchmark doubles as an end-to-end differential test on a
 realistic trace.
 
 The ``smoke`` variant (CI) shrinks the graph and the cache so the
-whole comparison completes in seconds.  Results serialize to the
-``BENCH_sim.json`` schema emitted by the benchmark harness
-(``benchmarks/test_bench_sim.py``) and the ``--json`` CLI flag.
+whole comparison completes in seconds.  :func:`add_sweep_geometry`
+also times LRU at the 16-set bench L2 that the fig2 sweeps replay on.
+Results serialize to the ``BENCH_sim.json`` schema emitted by the
+benchmark harness (``benchmarks/test_bench_sim.py``) and the
+``--json`` CLI flag.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ SPGEMM_SMOKE_GRAPH = {"scale": 9, "edge_factor": 8, "seed": 7}
 
 #: Smoke cache: 256 KiB / 32 B lines / 16 ways -> 512 sets.
 SMOKE_CACHE = {"capacity_bytes": 256 * 1024, "line_bytes": 32, "ways": 16}
+
+#: The bench-profile L2 the fig2 sweeps replay on: 8 KiB / 32 B lines /
+#: 16 ways -> 16 sets.
+SWEEP_CACHE = {"capacity_bytes": 8 * 1024, "line_bytes": 32, "ways": 16}
 
 
 @dataclass(frozen=True)
@@ -143,3 +149,18 @@ def run_bench(
         "speedups": speedups,
         "stats_match": True,
     }
+
+
+def add_sweep_geometry(
+    payload: Dict[str, object], trace: KernelTrace, repeats: int = 1
+) -> None:
+    """Also time LRU on ``trace`` at :data:`SWEEP_CACHE`, into ``payload``.
+
+    Adds the rows and the speedup under ``lru@<n_sets>sets`` (e.g.
+    ``lru@16sets``), so the gate covers the geometry the sweeps run.
+    """
+    config = CacheConfig(**SWEEP_CACHE)
+    extra = run_bench(trace, config, policies=("lru",), repeats=repeats)
+    key = f"lru@{config.n_sets}sets"
+    payload["results"] += [dict(row, policy=key) for row in extra["results"]]
+    payload["speedups"][key] = extra["speedups"]["lru"]

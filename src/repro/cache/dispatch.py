@@ -9,9 +9,11 @@ per-access simulators (:mod:`repro.cache.lru`,
 Implementation selection (``impl`` argument):
 
 * ``"auto"`` (default) — pick the engine from the input: the fast
-  one when the geometry is wide enough for round-parallel replay to
-  win (the reference loop is faster on tiny caches where a few sets
-  serialize the rounds).
+  one unless the trace is short (bucketing overhead dominates) or,
+  for Belady, the cache has few sets (its round-parallel replay then
+  serializes into one round per access of the longest set).  The
+  stack-distance LRU engine replays no rounds, so any geometry suits
+  it.
 * ``"fast"`` / ``"reference"`` — force one engine; the differential
   suite and the benchmarks use this to reach the reference oracle.
 
@@ -39,11 +41,16 @@ from repro.trace.kernel_traces import KernelTrace
 IMPLS = ("auto", "fast", "reference")
 POLICIES = ("lru", "belady")
 
-#: Below either bound the reference loop beats the vectorized engine:
-#: few sets means long sequential per-set chains, and tiny traces are
-#: dominated by the bucketing overhead.
-_FAST_MIN_SETS = {"lru": 32, "belady": 16}
+#: Shorter traces go to the reference loop: bucketing overhead
+#: dominates them.  Measured for LRU at the bench L2 (16 sets x 16
+#: ways) on prefixes of the fig2 bench traces: the engines break even
+#: near 1K accesses (0.55 ms each), and fast is 1.9x at 2K and 4.2x at
+#: 8K (1.2 vs 5.0 ms).  The bound is shared with Belady, and every
+#: bench and full sweep trace is longer (the shortest has 33K
+#: accesses), so it stays at 8K.
 _FAST_MIN_ACCESSES = 8192
+#: Fewer sets serialize Belady's round-parallel replay.
+_BELADY_MIN_SETS = 16
 
 
 def resolve_impl(impl: Optional[str] = None) -> str:
@@ -58,7 +65,7 @@ def resolve_impl(impl: Optional[str] = None) -> str:
 def _choose_impl(n_accesses: int, config: CacheConfig, policy: str) -> str:
     if n_accesses < _FAST_MIN_ACCESSES:
         return "reference"
-    if config.n_sets < _FAST_MIN_SETS[policy]:
+    if policy == "belady" and config.n_sets < _BELADY_MIN_SETS:
         return "reference"
     return "fast"
 

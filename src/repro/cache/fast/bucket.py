@@ -1,10 +1,12 @@
 """Trace bucketing for the vectorized simulators.
 
 Set-associative replacement is sequential *within* a set but
-independent *across* sets, so the trace is grouped by cache set and
-replayed in rounds: round ``r`` performs the ``r``-th access of every
-set that still has one, each round a handful of numpy array
-operations over the active sets.  Two observations make this fast:
+independent *across* sets, so the trace is grouped by cache set.  The
+Belady engine then replays it in rounds: round ``r`` performs the
+``r``-th access of every set that still has one, each round a handful
+of numpy array operations over the active sets.  The LRU engine
+replays nothing; it reads hits off stack distances within each set's
+contiguous runs.  Two observations make the grouping pay off:
 
 * **Run collapse.**  Within one set's sub-trace, consecutive accesses
   to the same line are guaranteed hits under both LRU and Belady (no
@@ -19,8 +21,9 @@ operations over the active sets.  Two observations make this fast:
   count exceeds ``r`` — no masking, no compaction per round.
 
 The group-by-set step is a stable counting sort implemented as one
-``np.sort`` over packed ``(set_id << shift) | position`` keys, which
-is considerably faster than ``np.argsort(..., kind="stable")``.
+``np.sort`` over packed ``(set_id << shift) | position`` keys
+(:func:`stable_key_sort`), which is considerably faster than
+``np.argsort(..., kind="stable")``.
 """
 
 from __future__ import annotations
@@ -54,21 +57,7 @@ class BucketPlan(NamedTuple):
 def bucket_trace(trace: np.ndarray, n_sets: int) -> BucketPlan:
     """Group ``trace`` by cache set and collapse within-set runs."""
     n = trace.size
-    shift = max(1, int(n - 1).bit_length())
-    if (n_sets - 1).bit_length() + shift <= 62:
-        # Stable counting sort via packed keys: the position in the low
-        # bits makes equal-set keys compare by position, i.e. stable.
-        key = trace % n_sets
-        key <<= shift
-        key += np.arange(n, dtype=np.int64)
-        key.sort()
-        order = key & ((1 << shift) - 1)
-        key >>= shift
-        bucketed_sets = key
-    else:  # pragma: no cover - needs a trace too large to allocate here
-        set_ids = trace % n_sets
-        order = np.argsort(set_ids, kind="stable")
-        bucketed_sets = set_ids[order]
+    order, bucketed_sets = stable_key_sort(trace % n_sets, n_sets)
     if -(2**31) <= int(trace.min()) and int(trace.max()) < 2**31:
         bucketed = trace.astype(np.int32)[order]
     else:
@@ -101,6 +90,26 @@ def bucket_trace(trace: np.ndarray, n_sets: int) -> BucketPlan:
     return BucketPlan(
         lines, pos_first, pos_last, multi, offsets, set_rank, active, rounds
     )
+
+
+def stable_key_sort(keys: np.ndarray, bound: int) -> "tuple[np.ndarray, np.ndarray]":
+    """Stable sort of int64 ``keys`` in ``[0, bound)``: ``(order, keys[order])``.
+
+    One ``np.sort`` over packed ``(key << shift) | position`` values: the
+    position in the low bits makes equal keys compare by position, i.e.
+    stable.  ``keys`` is overwritten.
+    """
+    n = keys.size
+    shift = max(1, int(n - 1).bit_length())
+    if (bound - 1).bit_length() + shift > 62:  # pragma: no cover - needs a huge trace
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    keys <<= shift
+    keys += np.arange(n, dtype=np.int64)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    return order, keys
 
 
 def compact_line_ids(lines: np.ndarray) -> "tuple[np.ndarray, int]":

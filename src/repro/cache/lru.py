@@ -107,7 +107,19 @@ def classify_misses(
 
 
 def compulsory_misses(trace: np.ndarray) -> int:
-    """Distinct lines in the trace — the compulsory-miss floor."""
-    if len(trace) == 0:
+    """Distinct lines in the trace — the compulsory-miss floor.
+
+    A presence mask over ``lines - min`` when the id span is at most
+    ``max(2**20, 8 * n)`` (the rule of
+    :func:`repro.cache.fast.bucket.compact_line_ids`), else a sort.
+    """
+    lines = np.asarray(trace, dtype=np.int64)
+    if lines.size == 0:
         return 0
-    return int(np.unique(np.asarray(trace, dtype=np.int64)).size)
+    lo = int(lines.min())
+    span = int(lines.max()) - lo + 1
+    if span > max(1 << 20, 8 * lines.size):
+        return int(np.unique(lines).size)
+    seen = np.zeros(span, dtype=bool)
+    seen[lines - lo] = True
+    return int(np.count_nonzero(seen))

@@ -995,7 +995,7 @@ def _cmd_doctor(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_sim(args: argparse.Namespace) -> int:
-    from repro.cache.benchsim import build_bench_workload, run_bench
+    from repro.cache.benchsim import add_sweep_geometry, build_bench_workload, run_bench
 
     policies = ("lru", "belady") if args.policy == "both" else (args.policy,)
     trace, config = build_bench_workload(smoke=args.smoke, kernel=args.kernel)
@@ -1004,6 +1004,8 @@ def _cmd_bench_sim(args: argparse.Namespace) -> int:
         f"{config.n_sets} sets x {config.ways} ways"
     )
     payload = run_bench(trace, config, policies=policies, repeats=args.repeats)
+    if "lru" in policies:
+        add_sweep_geometry(payload, trace, repeats=args.repeats)
     rows = [
         [r["policy"], r["impl"], f"{r['seconds']:.3f}", f"{r['accesses_per_s']:,.0f}"]
         for r in payload["results"]

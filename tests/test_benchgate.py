@@ -223,3 +223,18 @@ def test_committed_baselines_are_wellformed():
         doc = json.load(open(path))
         assert doc["speedups"], name
         assert all(v > 0 for v in doc["speedups"].values())
+
+
+def test_bench_sim_smoke_covers_committed_baseline(tmp_path):
+    """A fresh ``bench-sim --smoke`` carries every gated speedup of the
+    committed baseline, including LRU at the 16-set bench L2."""
+    repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    baseline = json.load(
+        open(os.path.join(repo_root, "benchmarks", "baselines", "BENCH_sim.json"))
+    )
+    out = str(tmp_path / "BENCH_sim.json")
+    assert main(["--quiet", "bench-sim", "--smoke", "--json", out]) == 0
+    fresh = json.load(open(out))
+    assert fresh["stats_match"] is True
+    assert set(baseline["speedups"]) <= set(fresh["speedups"])
+    assert "lru@16sets" in fresh["speedups"]

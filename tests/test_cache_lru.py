@@ -100,6 +100,23 @@ class TestAccounting:
         assert huge.misses == compulsory_misses(trace)
 
 
+class TestCompulsoryMisses:
+    @pytest.mark.parametrize(
+        "trace",
+        [
+            np.empty(0, dtype=np.int64),
+            np.asarray([7]),
+            np.random.default_rng(4).integers(0, 5000, 20000),  # dense
+            np.random.default_rng(5).integers(-300, 300, 999),  # negative ids
+            np.random.default_rng(6).integers(0, 2**60, 500),  # 2^60-sparse
+            np.asarray([0, 2**60, 0, 2**60 - 1]),
+        ],
+        ids=["empty", "single", "dense", "negative", "sparse", "sparse-repeat"],
+    )
+    def test_matches_unique(self, trace):
+        assert compulsory_misses(trace) == np.unique(trace).size
+
+
 class TestRegionClassification:
     def test_split_sums_to_misses(self):
         trace = np.asarray([0, 10, 20, 0, 10, 20])

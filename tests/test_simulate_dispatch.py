@@ -8,8 +8,8 @@ import pytest
 import repro
 from repro.cache import CacheConfig, simulate
 from repro.cache.dispatch import (
+    _BELADY_MIN_SETS,
     _FAST_MIN_ACCESSES,
-    _FAST_MIN_SETS,
     _choose_impl,
     resolve_impl,
 )
@@ -50,13 +50,20 @@ class TestResolution:
 
     def test_auto_heuristic(self):
         small_cache = CacheConfig(capacity_bytes=4 * 16 * 32, ways=16)  # 4 sets
+        bench_cache = CacheConfig(capacity_bytes=8 * 1024, ways=16)  # 16 sets
         big_cache = CacheConfig(capacity_bytes=64 * 16 * 32, ways=16)  # 64 sets
         big_n = 10 * _FAST_MIN_ACCESSES
-        for policy in ("lru", "belady"):
-            assert _choose_impl(big_n, small_cache, policy) == "reference"
-            assert _choose_impl(100, big_cache, policy) == "reference"
-            assert _choose_impl(big_n, big_cache, policy) == "fast"
-            assert big_cache.n_sets >= _FAST_MIN_SETS[policy]
+        for cache in (small_cache, bench_cache, big_cache):
+            # Short traces: bucketing overhead dominates either policy.
+            for policy in ("lru", "belady"):
+                assert _choose_impl(_FAST_MIN_ACCESSES - 1, cache, policy) == "reference"
+            # Stack-distance LRU replays no rounds: any geometry is fast.
+            assert _choose_impl(_FAST_MIN_ACCESSES, cache, "lru") == "fast"
+        # Belady's rounds serialize below its set bound.
+        assert small_cache.n_sets < _BELADY_MIN_SETS <= bench_cache.n_sets
+        assert _choose_impl(big_n, small_cache, "belady") == "reference"
+        assert _choose_impl(big_n, bench_cache, "belady") == "fast"
+        assert _choose_impl(big_n, big_cache, "belady") == "fast"
 
 
 class TestInputs:
